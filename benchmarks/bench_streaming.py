@@ -2,7 +2,7 @@
 """Streaming render-path micro-benchmark.
 
 Times the memory-centric streaming render of a seeded synthetic scene under
-the voxel-at-a-time reference loop and the batched/vectorized fast path
+the voxel-at-a-time reference loop and the frame-level fast path
 (``StreamingConfig.streaming_kernel``), verifies the images agree within
 1e-9 and the workload statistics are exactly equal, and appends the result
 to the ``BENCH_streaming.json`` trajectory next to this script::
@@ -12,12 +12,7 @@ to the ``BENCH_streaming.json`` trajectory next to this script::
 
 ``--check`` exits non-zero when the vectorized streaming path is less than
 the required speedup over the reference loop, the images disagree, or any
-statistic differs, which makes the script usable as a CI gate.  With
-``--tile-workers N`` (N > 1) the vectorized path is additionally timed
-with process-parallel tile rendering over shared memory: parallel/serial
-parity (images within 1e-9, statistics exactly equal) is always gated,
-and the parallel speedup bar (``--min-parallel-speedup``) is enforced on
-multi-core hosts and recorded-but-skipped on single-CPU ones.
+statistic differs, which makes the script usable as a CI gate.
 """
 
 from __future__ import annotations
@@ -54,28 +49,6 @@ def main(argv=None) -> int:
         help="streaming voxel size of the benchmark scene",
     )
     parser.add_argument(
-        "--tile-workers",
-        type=int,
-        default=0,
-        help="additionally time the vectorized path with this many parallel "
-        "tile workers (parity always gated under --check; the parallel "
-        "speedup is gated on multi-core hosts and recorded otherwise)",
-    )
-    parser.add_argument(
-        "--tile-mode",
-        choices=("auto", "process", "thread"),
-        default="auto",
-        help="parallel tile path: process-based over shared memory "
-        "(default; degrades to threads when unavailable) or threads",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=1.0,
-        help="parallel-over-serial-tiles bar for --check with "
-        "--tile-workers > 1 on multi-core hosts (default 1.0x)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="fail unless speedup >= --min-speedup, images agree and "
@@ -103,17 +76,11 @@ def main(argv=None) -> int:
         repeats=args.repeats,
         seed=args.seed,
         voxel_size=args.voxel_size,
-        tile_workers=args.tile_workers,
-        tile_mode=args.tile_mode,
     )
     print(result.format())
 
     entry = result.as_dict()
     entry["cpu_count"] = os.cpu_count()
-    if args.tile_workers > 1:
-        entry["parallel_speedup_gate"] = (
-            "enforced" if (os.cpu_count() or 1) >= 2 else "skipped"
-        )
     entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     # Atomic write-temp-then-rename append: concurrent or interrupted CI
     # jobs cannot truncate the trajectory.
@@ -141,45 +108,6 @@ def main(argv=None) -> int:
             )
             return 1
         print(f"OK: speedup {result.speedup:.2f}x >= {args.min_speedup}x")
-        if args.tile_workers > 1:
-            # Parity between the parallel and serial tile paths is
-            # host-independent and always enforced; the parallel speedup
-            # needs cores to overlap tiles, so it is gated only on
-            # multi-core hosts and recorded (in the trajectory) otherwise.
-            if not result.parallel_stats_equal:
-                print(
-                    "FAIL: parallel-tile statistics differ "
-                    f"({result.parallel_stats_detail})",
-                    file=sys.stderr,
-                )
-                return 1
-            if result.parallel_image_delta > REQUIRED_ATOL:
-                print(
-                    "FAIL: parallel-tile image deviates (max delta "
-                    f"{result.parallel_image_delta:.3g} > {REQUIRED_ATOL})",
-                    file=sys.stderr,
-                )
-                return 1
-            cpus = os.cpu_count() or 1
-            if cpus < 2:
-                print(
-                    f"note: single-CPU host ({cpus} core) — parallel speedup "
-                    f"gate skipped (measured {result.parallel_speedup:.2f}x, "
-                    f"mode={result.tile_mode})"
-                )
-            elif result.parallel_speedup < args.min_parallel_speedup:
-                print(
-                    f"FAIL: parallel speedup {result.parallel_speedup:.2f}x < "
-                    f"{args.min_parallel_speedup}x "
-                    f"(mode={result.tile_mode})",
-                    file=sys.stderr,
-                )
-                return 1
-            else:
-                print(
-                    f"OK: parallel speedup {result.parallel_speedup:.2f}x >= "
-                    f"{args.min_parallel_speedup}x (mode={result.tile_mode})"
-                )
     return 0
 
 

@@ -1,22 +1,23 @@
 #!/usr/bin/env python
-"""Temporal-coherence trajectory benchmark.
+"""Trajectory benchmark of the streaming fast path.
 
-Renders a registered camera trajectory twice — cold per-frame rendering
-(``temporal_mode="off"``) and the carry fast path (``"carry"``) — checks
-frame-by-frame parity (images within 1e-9, workload statistics exactly
-equal), and appends the result to the ``BENCH_trajectory.json`` trajectory
-next to this script::
+Renders a registered camera trajectory through the frame-level fast path,
+checks frame-by-frame parity against the per-voxel reference oracle
+(images within 1e-9, workload statistics exactly equal), times the
+amortized per-frame cost, and appends the result to the
+``BENCH_trajectory.json`` trajectory next to this script::
 
     PYTHONPATH=src python benchmarks/bench_trajectory.py
     PYTHONPATH=src python benchmarks/bench_trajectory.py --check
 
-``--check`` exits non-zero when the amortized warm (carry) trajectory is
-slower than ``--max-ratio`` times the cold one, the images disagree, or
-any statistic differs, which makes the script usable as a CI gate.  The
-default workload is a dense full-orbit of the ``train`` scene where the
-carry path's frame-restructured execution and content-keyed carries pay
-off; CI runs a reduced orbit with an explicit ``--max-ratio`` sized for
-shared runners.
+``--check`` exits non-zero when any frame disagrees with the oracle or the
+amortized time exceeds ``--max-ms-per-frame``, which makes the script
+usable as a CI gate.  The default bound belongs to the default workload (a
+dense 24-frame orbit of the ``train`` scene at 1.5x resolution): it is the
+time per frame the frame-level execution took there on a 2-CPU host before
+it became the only fast path (``BENCH_trajectory.json``, entry with
+``cpu_count`` 2 and 24 frames).  Other shapes or hosts pass their own
+bound; CI does.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from pathlib import Path
 from repro.api.store import append_trajectory
 from repro.engine.bench import run_trajectory_benchmark
 
-#: Acceptance bar: amortized carry-trajectory time over the cold one.
-REQUIRED_MAX_RATIO = 0.6
+#: Acceptance bar of the default workload: amortized ms per frame.
+REQUIRED_MAX_MS_PER_FRAME = 311.8
 
-#: Acceptance bar: maximum image deviation between the temporal modes.
+#: Acceptance bar: maximum image deviation from the reference oracle.
 REQUIRED_ATOL = 1e-9
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_trajectory.json"
@@ -52,17 +53,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--max-ratio",
+        "--max-ms-per-frame",
         type=float,
-        default=REQUIRED_MAX_RATIO,
-        help=f"warm/cold ratio bar for --check (default {REQUIRED_MAX_RATIO}; "
-        "use a looser bar on noisy shared runners)",
+        default=REQUIRED_MAX_MS_PER_FRAME,
+        help="amortized per-frame bound for --check (default "
+        f"{REQUIRED_MAX_MS_PER_FRAME} ms, sized for the default workload)",
     )
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail unless warm ratio <= --max-ratio, images agree and "
-        "statistics are exactly equal",
+        help="fail unless every frame matches the reference oracle and the "
+        "amortized time is <= --max-ms-per-frame",
     )
     parser.add_argument(
         "--output",
@@ -83,7 +84,7 @@ def main(argv=None) -> int:
 
     entry = result.as_dict()
     entry["cpu_count"] = os.cpu_count()
-    entry["max_ratio_gate"] = args.max_ratio
+    entry["max_ms_per_frame_gate"] = args.max_ms_per_frame
     entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     append_trajectory(args.output, entry)
     print(f"appended trajectory entry to {args.output}")
@@ -91,24 +92,29 @@ def main(argv=None) -> int:
     if args.check:
         if not result.stats_equal:
             print(
-                f"FAIL: streaming statistics differ ({result.stats_detail})",
+                f"FAIL: streaming statistics differ from the oracle "
+                f"({result.stats_detail})",
                 file=sys.stderr,
             )
             return 1
         if result.max_image_delta > REQUIRED_ATOL:
             print(
-                f"FAIL: temporal modes disagree (max delta "
+                f"FAIL: fast path disagrees with the oracle (max delta "
                 f"{result.max_image_delta:.3g} > {REQUIRED_ATOL})",
                 file=sys.stderr,
             )
             return 1
-        if result.warm_ratio > args.max_ratio:
+        if result.ms_per_frame > args.max_ms_per_frame:
             print(
-                f"FAIL: warm ratio {result.warm_ratio:.3f} > {args.max_ratio}",
+                f"FAIL: {result.ms_per_frame:.1f} ms/frame > "
+                f"{args.max_ms_per_frame} ms/frame",
                 file=sys.stderr,
             )
             return 1
-        print(f"OK: warm ratio {result.warm_ratio:.3f} <= {args.max_ratio}")
+        print(
+            f"OK: {result.ms_per_frame:.1f} ms/frame <= "
+            f"{args.max_ms_per_frame} ms/frame"
+        )
     return 0
 
 

@@ -8,10 +8,9 @@ The public surface:
   point (scene x algorithm x compression x config overrides x arch model).
 * :class:`~repro.api.spec.TrajectorySpec` — one declarative trajectory
   workload (scene x camera path x frames x render options), rendered
-  through the temporal-coherence fast path via ``Session.render`` /
-  ``Session.run_trajectory``.
+  frame by frame via ``Session.render`` / ``Session.run_trajectory``.
 * :class:`~repro.engine.service.RenderOptions` — how a render executes
-  (tile workers, kernel/temporal overrides, resolution scale).
+  (resolution scale).
 * :func:`~repro.api.spec.sweep` — expands parameter grids into spec lists
   (Fig. 12 / Fig. 13-style sensitivity studies).
 * :class:`~repro.api.result.ExperimentResult` /

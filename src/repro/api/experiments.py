@@ -362,7 +362,7 @@ def _claims(session: Session, **kwargs: Any) -> ExperimentResult:
 
 @register(
     "trajectory",
-    "Temporal-coherence trajectory workload (carry fast path)",
+    "Trajectory workload (per-frame streaming renders of a camera path)",
     cost_hint=3.0,
 )
 def _trajectory(session: Session, **kwargs: Any) -> ExperimentResult:

@@ -9,8 +9,8 @@ from it:
 * ``session.render(model, camera)`` — one render through the shared engine;
 * ``session.render("train", "orbit", frames=24)`` — a whole trajectory
   workload (named path or explicit camera list, or a full
-  :class:`~repro.api.spec.TrajectorySpec`) through the temporal-coherence
-  fast path, with :meth:`Session.run_trajectory` producing the cacheable
+  :class:`~repro.api.spec.TrajectorySpec`) frame by frame through one
+  shared streaming renderer, with :meth:`Session.run_trajectory` producing the cacheable
   :class:`~repro.api.result.ExperimentResult` form;
 * ``session.context(scene)`` — the cached evaluation context of a scene;
 * ``session.run(spec)`` — one declarative experiment point
@@ -188,11 +188,12 @@ class Session:
           :class:`~repro.api.spec.TrajectorySpec` workload.
 
         ``options`` (:class:`~repro.engine.service.RenderOptions`) controls
-        execution — tile workers, kernel/temporal overrides, resolution
-        scale.  Trajectory forms leave their aggregated telemetry in
-        ``session.service.last_trajectory``; named trajectories default to
-        ``temporal_mode="carry"`` (via :meth:`TrajectorySpec.streaming_config`),
-        explicit camera lists render with ``config`` as passed.
+        execution — the resolution scale.  Every frame renders through the
+        streaming fast path unless ``config`` selects the reference oracle
+        (``streaming_kernel="reference"``); named trajectories resolve
+        their config through :meth:`TrajectorySpec.streaming_config`,
+        explicit camera lists render with ``config`` as passed.  Each
+        response's ``output.telemetry`` holds its frame's execution record.
         """
         if isinstance(scene, TrajectorySpec):
             if camera_or_trajectory is not None:
@@ -234,9 +235,7 @@ class Session:
         """Render a trajectory spec's camera path, one response per frame.
 
         ``config`` / ``options`` override the spec's resolved streaming
-        config (scene default + carry) and render options when given.
-        Aggregated telemetry (warm frames, coherence hit rate) lands in
-        ``session.service.last_trajectory``.
+        config (scene default voxel size) and render options when given.
         """
         model = self.scene_model(spec.scene)
         return self.service.render_trajectory(
@@ -256,7 +255,7 @@ class Session:
 
         Renders the spec (:meth:`render_trajectory`), folds the per-frame
         telemetry into an :class:`~repro.api.result.ExperimentResult`
-        (coherence counters, wall seconds, image checksums) and caches it
+        (frame count, wall seconds, image checksums) and caches it
         under the spec's canonical key — same contract as experiment
         points, so trajectory runs share the
         :class:`~repro.api.store.ResultStore` machinery.
@@ -267,16 +266,10 @@ class Session:
             if cached is not None:
                 return cached
         responses = self.render_trajectory(spec)
-        summary = dict(self.service.last_trajectory or {})
-        per_frame = summary.pop("per_frame", [])
+        per_frame = [dict(response.output.telemetry) for response in responses]
         seconds = [float(f.get("seconds", 0.0)) for f in per_frame]
         metrics = {
-            "frames": float(summary.get("frames", len(responses))),
-            "warm_frames": float(summary.get("warm_frames", 0)),
-            "cold_frames": float(summary.get("cold_frames", 0)),
-            "coherence_hit_rate": float(summary.get("coherence_hit_rate", 0.0)),
-            "carried_voxels": float(summary.get("carried_voxels", 0)),
-            "revalidated": float(summary.get("revalidated", 0)),
+            "frames": float(len(responses)),
             "total_seconds": float(sum(seconds)),
             "mean_frame_ms": (
                 1e3 * float(np.mean(seconds)) if seconds else 0.0
@@ -291,7 +284,6 @@ class Session:
             metrics=metrics,
             payload={
                 "spec": spec.to_dict(),
-                "summary": summary,
                 "per_frame": per_frame,
                 "image_checksums": [
                     float(np.abs(response.image).sum()) for response in responses

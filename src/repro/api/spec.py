@@ -319,7 +319,8 @@ def sweep(base: Optional[ExperimentSpec] = None, **grid: Any) -> List[Experiment
 
 #: RenderOptions fields adjustable through ``TrajectorySpec.options``;
 #: ``resolution_scale`` is reserved — it is a spec axis (it shapes the
-#: generated cameras, not just the render call).
+#: generated cameras, not just the render call) — which currently leaves
+#: none.
 _TRAJECTORY_OPTION_FIELDS = frozenset(
     f.name for f in dataclass_fields(RenderOptions)
 ) - {"resolution_scale"}
@@ -435,14 +436,14 @@ class TrajectorySpec:
         is derived from the list (the field is overwritten to match).
     config:
         :class:`StreamingConfig` field overrides applied on top of the
-        trajectory base config — the scene's paper-default voxel size with
-        ``temporal_mode="carry"`` (trajectories default to the coherence
-        fast path; override ``temporal_mode="off"`` to force cold frames).
+        trajectory base config, the scene's paper-default voxel size
+        (``streaming_kernel="reference"`` renders through the per-voxel
+        oracle).
     options:
-        :class:`~repro.engine.service.RenderOptions` field overrides
-        (``tile_workers``, ``tile_mode``, ``streaming_kernel``,
-        ``temporal_mode``).  ``resolution_scale`` is reserved — set it on
-        the spec, where it shapes the generated cameras.
+        :class:`~repro.engine.service.RenderOptions` field overrides.
+        None are adjustable today: ``resolution_scale`` is reserved — set
+        it on the spec, where it shapes the generated cameras — so any
+        name here fails with the "unknown RenderOptions override" error.
     resolution_scale:
         Scale factor on the trajectory's camera resolution.
     tag:
@@ -520,15 +521,13 @@ class TrajectorySpec:
 
     # ------------------------------------------------------------------
     def _base_config(self) -> StreamingConfig:
-        return StreamingConfig(
-            voxel_size=self.descriptor.default_voxel_size, temporal_mode="carry"
-        )
+        return StreamingConfig(voxel_size=self.descriptor.default_voxel_size)
 
     def streaming_config(self) -> StreamingConfig:
         """The resolved :class:`StreamingConfig` of this trajectory.
 
-        Starts from the scene's paper-default voxel size with the temporal
-        carry path on, then applies the explicit config overrides.
+        Starts from the scene's paper-default voxel size, then applies the
+        explicit config overrides.
         """
         overrides = self.config_overrides
         base = self._base_config()
@@ -585,8 +584,8 @@ class TrajectorySpec:
         """The spec reduced to what actually selects its workload.
 
         Mirrors :meth:`ExperimentSpec.canonical_dict`: config overrides
-        that restate the trajectory base config (scene default voxel size,
-        ``temporal_mode="carry"``) and option overrides that restate the
+        that restate the trajectory base config (scene default voxel size)
+        and option overrides that restate the
         :class:`RenderOptions` defaults are dropped, numeric values are
         normalized to floats, and ``tag`` is kept.  The result-store hash
         (:func:`repro.api.store.spec_key`) is built on this form.

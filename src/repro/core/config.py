@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-#: Temporal-coherence modes of the streaming renderer.
-TEMPORAL_MODES = ("off", "carry")
-
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -46,29 +43,20 @@ class StreamingConfig:
         ``"reference"`` selects the per-Gaussian loop — both are
         numerically equivalent, see :mod:`repro.engine.kernels`).
     streaming_kernel:
-        Per-voxel render path of the streaming pipeline.  ``"vectorized"``
-        (default) batches the hierarchical filter over all voxels of a
-        tile, depth-sorts the survivors segment-wise, and blends the whole
-        tile stream through one call of the broadcast kernel;
-        ``"reference"`` is the voxel-at-a-time loop kept as an escape
-        hatch.  Both produce identical :class:`StreamingStats` and images
-        within 1e-9.  The fast path is built on the broadcast blend
-        machinery, so selecting ``blend_kernel="reference"`` also routes
-        streaming renders through the voxel-at-a-time loop.
+        Render path of the streaming pipeline.  ``"vectorized"`` (default)
+        executes whole frames at once: one hierarchical-filter pass over
+        every tile's voxel stream (one coarse projection, one fine
+        projection of the union of coarse survivors), a segment-wise depth
+        sort per tile and one cross-tile blend.  ``"reference"`` is the
+        voxel-at-a-time loop, the oracle the fast path is tested against.
+        Both produce identical :class:`StreamingStats` and images within
+        1e-9.  The fast path is built on the broadcast blend machinery, so
+        selecting ``blend_kernel="reference"`` also routes streaming
+        renders through the voxel-at-a-time loop.
     frame_cache_size:
         Number of prepared frames (voxel depth map, per-tile ordering
         tables, topological orders) memoized per camera pose; 0 disables
         the frame-preparation cache.
-    temporal_mode:
-        Frame-over-frame coherence exploitation for trajectory workloads.
-        ``"off"`` (default) renders every frame cold; ``"carry"`` carries
-        content-keyed per-tile state (candidate gathers, topological
-        orders) from frame to frame and renders through the
-        frame-restructured fast path (:mod:`repro.engine.temporal`) —
-        images stay within 1e-9 of ``"off"`` and :class:`StreamingStats`
-        stay exactly equal.  The carry path requires the vectorized
-        streaming/blend kernels and serial tiles; other configurations
-        fall back to the cold path (recorded in the telemetry).
     """
 
     voxel_size: float = 2.0
@@ -83,7 +71,6 @@ class StreamingConfig:
     blend_kernel: str = "vectorized"
     streaming_kernel: str = "vectorized"
     frame_cache_size: int = 8
-    temporal_mode: str = "off"
 
     def __post_init__(self) -> None:
         if self.voxel_size <= 0:
@@ -119,11 +106,6 @@ class StreamingConfig:
         if self.frame_cache_size < 0:
             raise ValueError(
                 f"frame_cache_size must be non-negative, got {self.frame_cache_size!r}"
-            )
-        if self.temporal_mode not in TEMPORAL_MODES:
-            raise ValueError(
-                f"unknown temporal_mode {self.temporal_mode!r}; "
-                f"available: {sorted(TEMPORAL_MODES)}"
             )
 
     def with_options(self, **kwargs) -> "StreamingConfig":

@@ -20,7 +20,7 @@ and traffic models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -110,23 +110,25 @@ class FilterResult:
 
 
 @dataclass
-class BatchedFilterResult:
-    """Outcome of filtering *all* voxels of one tile in one batched pass.
+class TileFilterBatch:
+    """Outcome of filtering one tile's whole voxel stream in the frame pass.
 
     Survivors of every voxel are concatenated in voxel-stream order
-    (``segment_ids`` maps each survivor row to its position in the input
-    voxel list); the per-voxel accounting is held as parallel arrays so the
-    pipeline can accumulate statistics for exactly the voxel prefix the
-    reference loop would have processed before early termination.
+    (``segment_ids`` maps each survivor to its position in the tile's voxel
+    stream); ``rows`` index the frame's shared projection.  The per-voxel
+    accounting is held as parallel arrays so the pipeline can accumulate
+    statistics for exactly the voxel prefix the reference loop would have
+    processed before early termination.
     """
 
+    bounds: Tuple[int, int, int, int]
     #: (S,) model indices of the survivors, concatenated voxel by voxel.
     indices: np.ndarray
-    #: Precise projection of the survivors (rows parallel to ``indices``).
-    projected: ProjectedGaussians
-    #: (S,) position of each survivor's voxel in the input voxel list.
+    #: (S,) rows of the survivors in :attr:`FrameFilterResult.projected`.
+    rows: np.ndarray
+    #: (S,) position of each survivor's voxel in the tile's voxel stream.
     segment_ids: np.ndarray
-    #: (V,) per-voxel accounting, parallel to the input voxel list.
+    #: (V,) per-voxel accounting, parallel to the tile's voxel stream.
     gaussians_in: np.ndarray
     coarse_tested: np.ndarray
     coarse_passed: np.ndarray
@@ -136,11 +138,6 @@ class BatchedFilterResult:
     @property
     def num_voxels(self) -> int:
         return len(self.gaussians_in)
-
-    @property
-    def survivor_counts(self) -> np.ndarray:
-        """Alias of ``fine_passed``: survivors per voxel."""
-        return self.fine_passed
 
     def prefix_stats(self, num_voxels: int) -> FilterStats:
         """Accumulated :class:`FilterStats` of the first ``num_voxels`` voxels.
@@ -173,6 +170,16 @@ class BatchedFilterResult:
             coarse_macs=COARSE_FILTER_MACS * int(self.coarse_tested[voxel]),
             fine_macs=FINE_FILTER_MACS * int(self.fine_tested[voxel]),
         )
+
+
+@dataclass
+class FrameFilterResult:
+    """Outcome of filtering every tile of a frame in one pass."""
+
+    #: Precise projection of the union of every tile's fine candidates.
+    projected: ProjectedGaussians
+    #: One record per input tile, in input order.
+    tiles: List[TileFilterBatch]
 
 
 class HierarchicalFilter:
@@ -269,88 +276,86 @@ class HierarchicalFilter:
     def filter_voxel_batch(
         self,
         model: GaussianModel,
-        voxel_lists: Sequence[np.ndarray],
         camera: Camera,
-        tile_bounds: Tuple[int, int, int, int],
-    ) -> BatchedFilterResult:
-        """Filter many voxels' Gaussians against one tile in one pass.
+        tile_bounds: Sequence[Tuple[int, int, int, int]],
+        tile_streams: Sequence[Tuple[np.ndarray, np.ndarray]],
+    ) -> FrameFilterResult:
+        """Filter the voxel streams of every tile of a frame in one pass.
 
-        Equivalent to calling :meth:`filter_voxel` once per entry of
-        ``voxel_lists`` (the per-voxel survivor sets, projections and
-        statistics are identical), but the coarse AABB rejection runs over
-        the concatenation of every voxel's candidates in a single NumPy
-        pass and the fine phase projects only the compacted coarse
-        survivors in one call — the per-voxel Python and small-array
-        overhead of the serial loop is gone.
+        ``tile_streams[t]`` is ``(counts, candidates)`` of the tile with
+        pixel rectangle ``tile_bounds[t]``: the Gaussian count of each
+        streamed voxel and the voxels' model indices concatenated in stream
+        order.  Equivalent to calling :meth:`filter_voxel` once per (tile,
+        voxel) pair — the survivor sets and statistics are identical — but
+        the coarse phase projects the whole model once and the AABB tests
+        gather its rows, and the fine phase projects the union of every
+        tile's coarse survivors in one call.  Both projections are
+        row-independent, so the gathered rows match per-voxel projections.
         """
-        num_voxels = len(voxel_lists)
-        counts = np.array([len(voxel) for voxel in voxel_lists], dtype=np.int64)
-        if num_voxels and counts.sum():
-            candidates = np.concatenate(
-                [np.asarray(voxel, dtype=np.int64) for voxel in voxel_lists]
+        use_coarse = self.use_coarse_filter
+        if use_coarse and any(len(candidates) for _, candidates in tile_streams):
+            coarse_means, coarse_depths, coarse_radii = coarse_project_centers(
+                model.positions, model.max_scales, camera
             )
-        else:
-            candidates = np.zeros(0, dtype=np.int64)
-        segments = np.repeat(np.arange(num_voxels, dtype=np.int64), counts)
+        # Coarse phase per tile: (counts, coarse survivors, their segments,
+        # coarse_tested, coarse_passed).
+        coarse = []
+        for bounds, (counts, candidates) in zip(tile_bounds, tile_streams):
+            counts = np.asarray(counts, dtype=np.int64)
+            segments = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+            if not use_coarse:
+                # Matches the serial path: with the coarse phase disabled both
+                # coarse counters stay zero and every candidate goes fine.
+                zeros = np.zeros(len(counts), dtype=np.int64)
+                coarse.append((counts, candidates, segments, zeros, zeros))
+                continue
+            if len(candidates):
+                passed = _overlaps_tile(
+                    coarse_means[candidates],
+                    coarse_radii[candidates],
+                    coarse_depths[candidates],
+                    bounds,
+                    camera.near,
+                )
+                candidates, segments = candidates[passed], segments[passed]
+            coarse_passed = np.bincount(segments, minlength=len(counts))
+            coarse.append((counts, candidates, segments, counts.copy(), coarse_passed))
 
-        if self.use_coarse_filter and len(candidates):
-            means2d, depths, coarse_radii = coarse_project_centers(
-                model.positions[candidates],
-                model.max_scales[candidates],
-                camera,
-            )
-            passed = _overlaps_tile(
-                means2d, coarse_radii, depths, tile_bounds, camera.near
-            )
-            coarse_tested = counts.copy()
-            coarse_passed = np.bincount(
-                segments[passed], minlength=num_voxels
-            ).astype(np.int64)
-            candidates = candidates[passed]
-            segments = segments[passed]
-        elif self.use_coarse_filter:
-            coarse_tested = counts.copy()
-            coarse_passed = np.zeros(num_voxels, dtype=np.int64)
-        else:
-            # Matches the serial path: with the coarse phase disabled both
-            # coarse counters stay zero and every candidate goes fine.
-            coarse_tested = np.zeros(num_voxels, dtype=np.int64)
-            coarse_passed = np.zeros(num_voxels, dtype=np.int64)
-
-        fine_tested = np.bincount(segments, minlength=num_voxels).astype(np.int64)
-        projected = project_gaussians(
-            model, camera, sh_degree=self.sh_degree, indices=candidates
-        )
-        fine_pass = projected.valid & _overlaps_tile(
-            projected.means2d,
-            projected.radii,
-            projected.depths,
-            tile_bounds,
-            camera.near,
-        )
-        fine_passed = np.bincount(
-            segments[fine_pass], minlength=num_voxels
+        union = np.unique(
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [c[1] for c in coarse])
         ).astype(np.int64)
+        projected = project_gaussians(
+            model, camera, sh_degree=self.sh_degree, indices=union
+        )
 
-        survivors = ProjectedGaussians(
-            means2d=projected.means2d[fine_pass],
-            depths=projected.depths[fine_pass],
-            conics=projected.conics[fine_pass],
-            radii=projected.radii[fine_pass],
-            colors=projected.colors[fine_pass],
-            opacities=projected.opacities[fine_pass],
-            valid=projected.valid[fine_pass],
-        )
-        return BatchedFilterResult(
-            indices=candidates[fine_pass],
-            projected=survivors,
-            segment_ids=segments[fine_pass],
-            gaussians_in=counts,
-            coarse_tested=coarse_tested,
-            coarse_passed=coarse_passed,
-            fine_tested=fine_tested,
-            fine_passed=fine_passed,
-        )
+        tiles: List[TileFilterBatch] = []
+        for bounds, (counts, candidates, segments, coarse_tested, coarse_passed) in zip(
+            tile_bounds, coarse
+        ):
+            rows = np.searchsorted(union, candidates)
+            fine_pass = projected.valid[rows] & _overlaps_tile(
+                projected.means2d[rows],
+                projected.radii[rows],
+                projected.depths[rows],
+                bounds,
+                camera.near,
+            )
+            tiles.append(
+                TileFilterBatch(
+                    bounds=bounds,
+                    indices=candidates[fine_pass],
+                    rows=rows[fine_pass],
+                    segment_ids=segments[fine_pass],
+                    gaussians_in=counts,
+                    coarse_tested=coarse_tested,
+                    coarse_passed=coarse_passed,
+                    fine_tested=np.bincount(segments, minlength=len(counts)),
+                    fine_passed=np.bincount(
+                        segments[fine_pass], minlength=len(counts)
+                    ),
+                )
+            )
+        return FrameFilterResult(projected=projected, tiles=tiles)
 
     # ------------------------------------------------------------------
     def coarse_filter_soundness_check(

@@ -11,6 +11,11 @@ For every pixel group (image tile) the renderer:
    alpha blending of *partial* pixel values that stay on-chip;
 4. writes only the final pixel values back to DRAM.
 
+The default (vectorized) path executes step 3 for the whole frame at once —
+one filter pass, one projection, one cross-tile blend — and reproduces the
+voxel-at-a-time reference loop (``streaming_kernel="reference"``) exactly:
+images within 1e-9, statistics equal.
+
 Steps 1 and 2 are pure view geometry, so the renderer memoizes them per
 camera pose in an engine :class:`~repro.engine.cache.FrameCache`; repeated
 renders of the same view (benchmark sweeps, fine-tuning probes, batched
@@ -28,7 +33,6 @@ by the blending kernels.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -47,23 +51,17 @@ from repro.core.voxel_order import (
 from repro.engine.cache import FrameCache, FramePreparation, frame_key
 from repro.engine.kernels import (
     TRANSMITTANCE_EPSILON,
-    blend_streaming,
+    blend_tile_streams,
     get_kernel,
 )
 from repro.engine.state import BlendState
-from repro.engine.temporal import TemporalContext, render_frame_carry
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RenderOutput
 from repro.gaussians.tiles import TileGrid
 
-#: Registered streaming per-voxel render paths (``StreamingConfig.streaming_kernel``).
+#: Registered streaming render paths (``StreamingConfig.streaming_kernel``).
 STREAMING_KERNELS = ("reference", "vectorized")
-
-#: How parallel tiles execute: ``auto`` picks processes (zero-copy shared
-#: memory, real core scaling) and degrades to threads when processes are
-#: unusable; the explicit modes force one path.
-TILE_MODES = ("auto", "process", "thread")
 
 
 @dataclass
@@ -104,39 +102,6 @@ class StreamingStats:
         if self.gaussian_blend_weight is None:
             self.gaussian_blend_weight = np.zeros(num_gaussians, dtype=np.float64)
             self.gaussian_violation_weight = np.zeros(num_gaussians, dtype=np.float64)
-
-    def absorb(self, tile: "StreamingStats") -> None:
-        """Accumulate one tile's statistics into this frame-level record.
-
-        Used by the parallel tile path: every worker renders into a private
-        per-tile :class:`StreamingStats` and the frame merges them in tile
-        id order, so the result is deterministic regardless of thread
-        scheduling.  All integer fields are exact sums; the per-Gaussian
-        weight arrays are added tile by tile (within 1e-9 of the serial
-        in-place accumulation).
-        """
-        self.num_tile_voxel_pairs += tile.num_tile_voxel_pairs
-        self.rays_sampled += tile.rays_sampled
-        self.ordering_table_entries += tile.ordering_table_entries
-        self.dag_edges += tile.dag_edges
-        self.dag_nodes += tile.dag_nodes
-        self.cycles_broken += tile.cycles_broken
-        self.gaussians_streamed += tile.gaussians_streamed
-        self.filter = self.filter.merge(tile.filter)
-        self.traffic = self.traffic.merge(tile.traffic)
-        self.blended_fragments += tile.blended_fragments
-        self.blended_fragment_slots += tile.blended_fragment_slots
-        self.sorted_gaussians += tile.sorted_gaussians
-        self.max_voxel_list_length = max(
-            self.max_voxel_list_length, tile.max_voxel_list_length
-        )
-        self.rendered_gaussian_slots += tile.rendered_gaussian_slots
-        self.depth_order_errors += tile.depth_order_errors
-        self.sort_list_lengths.extend(tile.sort_list_lengths)
-        if tile.gaussian_blend_weight is not None:
-            self.ensure_weight_arrays(len(tile.gaussian_blend_weight))
-            self.gaussian_blend_weight += tile.gaussian_blend_weight
-            self.gaussian_violation_weight += tile.gaussian_violation_weight
 
     @property
     def mean_voxels_per_tile(self) -> float:
@@ -217,7 +182,7 @@ class StreamingRenderOutput:
     """Image plus streaming workload statistics.
 
     ``telemetry`` carries per-frame execution metadata (wall time, the
-    streaming kernel used, tile worker count) — deliberately outside
+    streaming kernel used, tile count) — deliberately outside
     :class:`StreamingStats` so workload statistics stay comparable across
     render paths.
     """
@@ -278,9 +243,6 @@ class StreamingRenderer:
         self.background = np.asarray(self.config.background, dtype=np.float64)
         self.kernel = get_kernel(self.config.blend_kernel)
         self.frame_cache = FrameCache(capacity=self.config.frame_cache_size)
-        # Carried trajectory state (content-keyed caches, pose tracking) of
-        # the temporal-coherence path; idle unless ``temporal_mode="carry"``.
-        self.temporal = TemporalContext()
 
     # ------------------------------------------------------------------
     def prepare_frame(self, camera: Camera) -> FramePreparation:
@@ -322,41 +284,15 @@ class StreamingRenderer:
         return preparation
 
     # ------------------------------------------------------------------
-    def render(
-        self,
-        camera: Camera,
-        tile_workers: int = 1,
-        tile_mode: str = "auto",
-    ) -> StreamingRenderOutput:
+    def render(self, camera: Camera) -> StreamingRenderOutput:
         """Render one frame voxel-by-voxel.
 
-        Parameters
-        ----------
-        camera:
-            The rendering camera.
-        tile_workers:
-            Number of workers rendering independent tiles concurrently.
-            ``1`` (default) renders tiles in order on the calling thread.
-            With more workers each tile accumulates into a private
-            statistics record and the frame merges them in tile id order,
-            so images are identical and statistics deterministic
-            regardless of worker scheduling.
-        tile_mode:
-            How parallel tiles execute (ignored with one worker).
-            ``"auto"`` (default) uses a process pool over shared memory —
-            the path that actually scales with cores — and silently
-            degrades to threads when processes are unusable (daemonic
-            caller, no shared memory, pool failure); the telemetry records
-            the mode taken and the degradation reason.  ``"process"`` and
-            ``"thread"`` force the respective path (a forced process path
-            still degrades rather than failing the render).
+        The vectorized path (the default) runs the frame-level execution of
+        :meth:`_render_frame`; ``streaming_kernel="reference"`` — or
+        ``blend_kernel="reference"``, which the fast path's broadcast blend
+        cannot honour — renders tile by tile through the per-voxel
+        reference loop, the oracle the fast path is tested against.
         """
-        if tile_workers < 1:
-            raise ValueError(f"tile_workers must be >= 1, got {tile_workers}")
-        if tile_mode not in TILE_MODES:
-            raise ValueError(
-                f"tile_mode must be one of {TILE_MODES}, got {tile_mode!r}"
-            )
         config = self.config
         started = time.perf_counter()
         tile_grid = TileGrid(camera.width, camera.height, config.tile_size)
@@ -364,98 +300,24 @@ class StreamingRenderer:
         alpha_img = np.zeros((camera.height, camera.width), dtype=np.float64)
         stats = StreamingStats(num_tiles=tile_grid.num_tiles)
         stats.ensure_weight_arrays(len(self.source_model))
-        # The fast path is built on the broadcast blend machinery; a
-        # reference *blend* kernel selection is honoured by falling back to
-        # the per-voxel loop (which blends through ``self.kernel``), so
-        # ``blend_kernel="reference"`` keeps validating the blend
-        # recurrence end to end instead of being silently ignored.
         vectorized_path = (
             config.streaming_kernel == "vectorized"
             and config.blend_kernel == "vectorized"
         )
-        workers = min(tile_workers, tile_grid.num_tiles)
-        # The temporal carry path is built on the vectorized serial-tile
-        # machinery; other configurations fall back to the cold path and
-        # record why in the telemetry.
-        carry_path = (
-            config.temporal_mode == "carry" and vectorized_path and workers == 1
-        )
-        if carry_path:
-            parallel_telemetry = render_frame_carry(
-                self, camera, image, alpha_img, stats
-            )
-            stats.traffic = stats.traffic.merge(
-                DataLayout.pixel_write_traffic(camera.num_pixels)
-            )
-            return StreamingRenderOutput(
-                image=np.clip(image, 0.0, 1.0),
-                alpha=alpha_img,
-                stats=stats,
-                telemetry={
-                    "streaming_kernel": "vectorized",
-                    "tile_workers": workers,
-                    "tiles": tile_grid.num_tiles,
-                    **parallel_telemetry,
-                    "seconds": time.perf_counter() - started,
-                },
-            )
-
         preparation = self.prepare_frame(camera)
-        render_tile = (
-            self._render_tile_vectorized
-            if vectorized_path
-            else self._render_tile_reference
-        )
-
-        parallel_telemetry: Dict[str, object] = {"tile_mode": "serial"}
-        if workers > 1:
-            mode = "process" if tile_mode == "auto" else tile_mode
-            if mode == "process":
-                from repro.engine.tile_parallel import (
-                    TileParallelUnavailable,
-                    render_tiles_process,
-                )
-
-                try:
-                    parallel_telemetry = render_tiles_process(
-                        self, camera, tile_grid, image, alpha_img, stats,
-                        render_tile.__name__, workers,
-                    )
-                except TileParallelUnavailable as error:
-                    # The process attempt mutates nothing until every
-                    # worker has returned, so the thread path starts from
-                    # pristine buffers and statistics.
-                    parallel_telemetry = {
-                        "tile_mode": "thread",
-                        "tile_mode_degraded": str(error),
-                    }
-                    self._render_tiles_parallel(
-                        camera, tile_grid, preparation, image, alpha_img, stats,
-                        render_tile, workers,
-                    )
-            else:
-                parallel_telemetry = {"tile_mode": "thread"}
-                self._render_tiles_parallel(
-                    camera, tile_grid, preparation, image, alpha_img, stats,
-                    render_tile, workers,
-                )
+        if vectorized_path:
+            self._render_frame(camera, tile_grid, preparation, image, alpha_img, stats)
         else:
             for tile_id in range(tile_grid.num_tiles):
-                bounds = tile_grid.tile_pixel_bounds(tile_id)
-                render_tile(
-                    camera, tile_id, bounds, preparation, image, alpha_img, stats
+                self._render_tile_reference(
+                    camera,
+                    tile_id,
+                    tile_grid.tile_pixel_bounds(tile_id),
+                    preparation,
+                    image,
+                    alpha_img,
+                    stats,
                 )
-
-        if config.temporal_mode == "carry":
-            # A requested carry that could not run (reference kernels,
-            # parallel tiles) renders cold; the telemetry records why.
-            parallel_telemetry = {
-                **parallel_telemetry,
-                "temporal_mode": "off",
-                "temporal_fallback": (
-                    "reference-kernel" if not vectorized_path else "tile-workers"
-                ),
-            }
         # Final pixel writes are the only off-chip writes of the pipeline.
         stats.traffic = stats.traffic.merge(
             DataLayout.pixel_write_traffic(camera.num_pixels)
@@ -465,56 +327,11 @@ class StreamingRenderer:
             alpha=alpha_img,
             stats=stats,
             telemetry={
-                # The path actually taken (a reference blend-kernel
-                # selection routes through the reference loop).
                 "streaming_kernel": "vectorized" if vectorized_path else "reference",
-                "tile_workers": workers,
                 "tiles": tile_grid.num_tiles,
-                **parallel_telemetry,
                 "seconds": time.perf_counter() - started,
             },
         )
-
-    def _render_tiles_parallel(
-        self,
-        camera: Camera,
-        tile_grid: TileGrid,
-        preparation: FramePreparation,
-        image: np.ndarray,
-        alpha_img: np.ndarray,
-        stats: StreamingStats,
-        render_tile,
-        workers: int,
-    ) -> None:
-        """Fan independent tiles over a thread pool, merging in tile order.
-
-        Tiles write disjoint image regions directly; statistics go into
-        private per-tile records merged deterministically afterwards.  The
-        shared renderer state read by workers (grid, layout, filter,
-        prepared frame) is immutable during a render.
-        """
-        num_gaussians = len(self.source_model)
-
-        def run(tile_id: int) -> StreamingStats:
-            local = StreamingStats()
-            local.ensure_weight_arrays(num_gaussians)
-            render_tile(
-                camera,
-                tile_id,
-                tile_grid.tile_pixel_bounds(tile_id),
-                preparation,
-                image,
-                alpha_img,
-                local,
-            )
-            return local
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # ``map`` yields in tile id order; absorbing as results arrive
-            # keeps the merge deterministic while holding only the
-            # in-flight tiles' private weight arrays alive.
-            for local in pool.map(run, range(tile_grid.num_tiles)):
-                stats.absorb(local)
 
     # ------------------------------------------------------------------
     def _tile_header_stats(
@@ -622,100 +439,103 @@ class StreamingRenderer:
         image[y0:y1, x0:x1] = final.reshape(h, w, 3)
         alpha_img[y0:y1, x0:x1] = (1.0 - state.transmittance).reshape(h, w)
 
-    def _render_tile_vectorized(
+    def _render_frame(
         self,
         camera: Camera,
-        tile_id: int,
-        bounds,
+        tile_grid: TileGrid,
         preparation: FramePreparation,
         image: np.ndarray,
         alpha_img: np.ndarray,
         stats: StreamingStats,
     ) -> None:
-        """Render one pixel group through the batched streaming fast path.
+        """Render every tile of a frame through the frame-level fast path.
 
-        The hierarchical filter runs over *all* voxels of the tile in one
-        pass, the survivors are depth-sorted segment-wise (one stable
-        lexsort replaces the per-voxel argsorts) and the whole voxel
-        stream is blended through a single call of the broadcast kernel.
-        The reference loop's voxel-granular early termination is
-        reproduced exactly in the statistics from the kernel's per-pixel
-        saturation positions: voxels past the last pixel's saturation
-        contribute nothing to the blend (their contribution gate is
-        closed), so only the accounting has to be truncated.
+        Instead of filtering and blending tile by tile, the whole frame's
+        voxel streams go through one hierarchical-filter pass (one coarse
+        projection of the model, one fine projection of the union of every
+        tile's coarse survivors), one segment-wise depth sort per tile and
+        one cross-tile blend.  The reference loop's voxel-granular early
+        termination is reproduced exactly in the statistics from the
+        blend's per-pixel saturation positions: voxels past the last
+        pixel's saturation contribute nothing to the blend (their
+        contribution gate is closed), so only the accounting has to be
+        truncated.
         """
-        x0, y0, x1, y1 = bounds
-        order = self._tile_header_stats(tile_id, bounds, preparation, image, stats)
-        if order is None:
-            return
-        order = np.asarray(order, dtype=np.int64)
-        batch = self.filter.filter_voxel_batch(
-            self.render_model,
-            [self.grid.gaussians_in_voxel(voxel_id) for voxel_id in order],
-            camera,
-            bounds,
+        tile_bounds, orders, streams = [], [], []
+        for tile_id in range(tile_grid.num_tiles):
+            bounds = tile_grid.tile_pixel_bounds(tile_id)
+            order = self._tile_header_stats(tile_id, bounds, preparation, image, stats)
+            if order is None:
+                continue
+            order = np.asarray(order, dtype=np.int64)
+            tile_bounds.append(bounds)
+            orders.append(order)
+            streams.append(self.grid.gaussians_in_voxels(order))
+        frame = self.filter.filter_voxel_batch(
+            self.render_model, camera, tile_bounds, streams
         )
 
-        xs, ys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
-        xs = xs.reshape(-1)
-        ys = ys.reshape(-1)
-        state = BlendState.fresh(len(xs))
-        state.bind_weight_arrays(
-            stats.gaussian_blend_weight, stats.gaussian_violation_weight
+        depths = frame.projected.depths
+        stream_rows, stream_model = [], []
+        for tile in frame.tiles:
+            # Segment-wise stable depth sort: identical to the per-voxel
+            # ``argsort(..., kind="stable")`` of the reference loop.
+            order = np.lexsort((depths[tile.rows], tile.segment_ids))
+            stream_rows.append(tile.rows[order])
+            stream_model.append(tile.indices[order])
+        blend = blend_tile_streams(
+            tile_bounds,
+            stream_rows,
+            stream_model,
+            frame.projected,
+            stats.gaussian_blend_weight,
+            stats.gaussian_violation_weight,
         )
 
-        # Segment-wise stable depth sort: identical to the per-voxel
-        # ``argsort(..., kind="stable")`` of the reference loop.
-        stream_order = np.lexsort((batch.projected.depths, batch.segment_ids))
-        state, saturation = blend_streaming(
-            xs,
-            ys,
-            batch.projected,
-            stream_order,
-            state,
-            model_indices=batch.indices,
-            track_depth_order=True,
-        )
+        for slot, (tile, order) in enumerate(zip(frame.tiles, orders)):
+            # The voxel prefix the reference loop would have processed: it
+            # breaks after the first voxel that saturates every pixel.
+            cols = slice(blend.col_starts[slot], blend.col_starts[slot + 1])
+            last_saturating = int(blend.saturation[cols].max())
+            if last_saturating < len(stream_rows[slot]):
+                segment_ends = np.cumsum(tile.fine_passed)
+                processed = int(
+                    np.searchsorted(segment_ends, last_saturating, side="right")
+                ) + 1
+            else:
+                processed = len(order)
 
-        # The voxel prefix the reference loop would have processed: it
-        # breaks after the first voxel that saturates every pixel.
-        segment_ends = np.cumsum(batch.survivor_counts)
-        total = len(stream_order)
-        if total and len(saturation) and int(saturation.max()) < total:
-            last_saturating = int(saturation.max())
-            processed = int(np.searchsorted(segment_ends, last_saturating, side="right")) + 1
-        else:
-            processed = len(order)
-
-        stats.num_tile_voxel_pairs += processed
-        stats.gaussians_streamed += int(batch.gaussians_in[:processed].sum())
-        stats.filter = stats.filter.merge(batch.prefix_stats(processed))
-        coarse_passed = (
-            batch.coarse_passed
-            if self.config.use_coarse_filter
-            else batch.gaussians_in
-        )
-        stats.traffic = stats.traffic.merge(
-            self.layout.voxel_stream_traffic_batch(
-                order[:processed], coarse_passed[:processed]
+            stats.num_tile_voxel_pairs += processed
+            stats.gaussians_streamed += int(tile.gaussians_in[:processed].sum())
+            stats.filter = stats.filter.merge(tile.prefix_stats(processed))
+            coarse_passed = (
+                tile.coarse_passed
+                if self.config.use_coarse_filter
+                else tile.gaussians_in
             )
-        )
-        survivors = batch.survivor_counts[:processed]
-        survivors = survivors[survivors > 0]
-        stats.sorted_gaussians += int(survivors.sum())
-        stats.sort_list_lengths.extend(int(n) for n in survivors)
-        if len(survivors):
-            stats.max_voxel_list_length = max(
-                stats.max_voxel_list_length, int(survivors.max())
+            stats.traffic = stats.traffic.merge(
+                self.layout.voxel_stream_traffic_batch(
+                    order[:processed], coarse_passed[:processed]
+                )
             )
-        stats.rendered_gaussian_slots += int(survivors.sum())
-        stats.blended_fragments += state.blended_fragments
-        stats.depth_order_errors += state.depth_violations
-        stats.blended_fragment_slots += state.blended_fragments
-        final = state.color + state.transmittance[:, None] * self.background[None, :]
-        h, w = y1 - y0, x1 - x0
-        image[y0:y1, x0:x1] = final.reshape(h, w, 3)
-        alpha_img[y0:y1, x0:x1] = (1.0 - state.transmittance).reshape(h, w)
+            survivors = tile.fine_passed[:processed]
+            survivors = survivors[survivors > 0]
+            stats.sorted_gaussians += int(survivors.sum())
+            stats.sort_list_lengths.extend(int(n) for n in survivors)
+            if len(survivors):
+                stats.max_voxel_list_length = max(
+                    stats.max_voxel_list_length, int(survivors.max())
+                )
+            stats.rendered_gaussian_slots += int(survivors.sum())
+            stats.blended_fragments += int(blend.fragments[slot])
+            stats.depth_order_errors += int(blend.violations[slot])
+            stats.blended_fragment_slots += int(blend.fragments[slot])
+
+            x0, y0, x1, y1 = tile.bounds
+            transmittance = blend.transmittance[cols]
+            final = blend.color[cols] + transmittance[:, None] * self.background[None, :]
+            image[y0:y1, x0:x1] = final.reshape(y1 - y0, x1 - x0, 3)
+            alpha_img[y0:y1, x0:x1] = (1.0 - transmittance).reshape(y1 - y0, x1 - x0)
 
 
 def tile_centric_reference(

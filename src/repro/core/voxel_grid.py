@@ -155,6 +155,21 @@ class VoxelGrid:
         count = self.voxel_counts[renamed_id]
         return self.gaussian_order[start : start + count]
 
+    def gaussians_in_voxels(self, renamed_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-voxel counts and concatenated Gaussian indices of a voxel stream.
+
+        The vectorized form of concatenating :meth:`gaussians_in_voxel`
+        over ``renamed_ids`` in order.
+        """
+        counts = self.voxel_counts[renamed_ids]
+        offsets = np.repeat(np.cumsum(counts) - counts, counts)
+        flat = (
+            np.repeat(self.voxel_starts[renamed_ids], counts)
+            + np.arange(int(counts.sum()), dtype=np.int64)
+            - offsets
+        )
+        return counts, self.gaussian_order[flat]
+
     def voxel_coords(self, renamed_id: int) -> np.ndarray:
         """Integer grid coordinates of a renamed voxel."""
         raw = int(self.renamed_to_raw[renamed_id])

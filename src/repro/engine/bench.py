@@ -7,17 +7,15 @@ loop (``benchmarks/bench_engine.py`` → ``BENCH_engine.json``; the runner's
 ``engine`` experiment).
 
 :func:`run_streaming_benchmark` does the same for the memory-centric
-streaming pipeline's per-voxel render paths: the voxel-at-a-time reference
-loop against the batched/vectorized fast path
-(``StreamingConfig.streaming_kernel``), checking that images agree within
-1e-9 and that every workload statistic — fragments, filter reductions,
-depth-order violation sets — is exactly equal
-(``benchmarks/bench_streaming.py`` → ``BENCH_streaming.json``).
+streaming pipeline's render paths: the voxel-at-a-time reference loop
+against the frame-level fast path (``StreamingConfig.streaming_kernel``),
+checking that images agree within 1e-9 and that every workload statistic —
+fragments, filter reductions, depth-order violation sets — is exactly
+equal (``benchmarks/bench_streaming.py`` → ``BENCH_streaming.json``).
 
 :func:`run_trajectory_benchmark` times a registered camera trajectory
-under the temporal-coherence carry path (``temporal_mode="carry"``)
-against cold per-frame rendering (``"off"``), with the same parity
-contract — images within 1e-9, statistics exactly equal, frame by frame
+through the fast path, with the same parity contract against the
+reference oracle, frame by frame
 (``benchmarks/bench_trajectory.py`` → ``BENCH_trajectory.json``).
 """
 
@@ -207,7 +205,6 @@ class StreamingBenchResult:
     resolution: tuple
     voxel_size: float
     repeats: int
-    tile_workers: int
     seconds: Dict[str, float] = field(default_factory=dict)
     max_image_delta: float = 0.0
     stats_equal: bool = False
@@ -215,16 +212,6 @@ class StreamingBenchResult:
     gaussians_streamed: int = 0
     blended_fragments: int = 0
     filtering_reduction: float = 0.0
-    #: Parallel-path execution record (populated when ``tile_workers > 1``):
-    #: the mode that actually ran (process / thread after degradation), the
-    #: parity of the parallel frame against the serial vectorized one, and
-    #: the zero-copy accounting of the process path.
-    tile_mode: str = ""
-    parallel_image_delta: float = 0.0
-    parallel_stats_equal: bool = True
-    parallel_stats_detail: str = ""
-    shm_segments: int = 0
-    pickled_bytes: int = 0
 
     @property
     def speedup(self) -> float:
@@ -233,35 +220,20 @@ class StreamingBenchResult:
         vectorized = self.seconds.get("vectorized", 0.0)
         return reference / vectorized if vectorized else 0.0
 
-    @property
-    def parallel_speedup(self) -> float:
-        """Vectorized serial-tile time over parallel-tile time (0 when unmeasured)."""
-        vectorized = self.seconds.get("vectorized", 0.0)
-        parallel = self.seconds.get("vectorized_parallel", 0.0)
-        return vectorized / parallel if parallel else 0.0
-
     def as_dict(self) -> dict:
         return {
             "num_gaussians": self.num_gaussians,
             "resolution": list(self.resolution),
             "voxel_size": self.voxel_size,
             "repeats": self.repeats,
-            "tile_workers": self.tile_workers,
             "seconds": dict(self.seconds),
             "speedup": self.speedup,
-            "parallel_speedup": self.parallel_speedup,
             "max_image_delta": self.max_image_delta,
             "stats_equal": self.stats_equal,
             "stats_detail": self.stats_detail,
             "gaussians_streamed": self.gaussians_streamed,
             "blended_fragments": self.blended_fragments,
             "filtering_reduction": self.filtering_reduction,
-            "tile_mode": self.tile_mode,
-            "parallel_image_delta": self.parallel_image_delta,
-            "parallel_stats_equal": self.parallel_stats_equal,
-            "parallel_stats_detail": self.parallel_stats_detail,
-            "shm_segments": self.shm_segments,
-            "pickled_bytes": self.pickled_bytes,
         }
 
     def format(self) -> str:
@@ -277,33 +249,20 @@ class StreamingBenchResult:
             f"max |image delta| = {self.max_image_delta:.3g}; "
             f"stats {'EQUAL' if self.stats_equal else 'DIFFER: ' + self.stats_detail}"
         )
-        if self.tile_workers > 1:
-            lines.append(
-                f"  parallel tiles ({self.tile_workers} workers, "
-                f"{self.tile_mode or 'unmeasured'} mode): "
-                f"{self.parallel_speedup:.2f}x over serial tiles; "
-                f"max |image delta| = {self.parallel_image_delta:.3g}; "
-                f"stats {'EQUAL' if self.parallel_stats_equal else 'DIFFER: ' + self.parallel_stats_detail}"
-            )
-            if self.tile_mode == "process":
-                lines.append(
-                    f"  zero-copy transport: {self.shm_segments} shm segment(s), "
-                    f"{self.pickled_bytes} pickled bytes per dispatch"
-                )
         return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
-# Trajectory (temporal-coherence) benchmark.
+# Trajectory benchmark.
 # ----------------------------------------------------------------------
 @dataclass
 class TrajectoryBenchResult:
-    """Timings and parity check of one carry-vs-off trajectory comparison.
+    """Timing and oracle parity of one trajectory through the fast path.
 
-    ``seconds`` holds the best full-trajectory wall time of each temporal
-    mode; the *warm ratio* is the amortized carry-path time over the cold
-    path's.  Parity (images within 1e-9, statistics exactly equal, frame
-    by frame) is recorded from a dedicated untimed pass.
+    ``seconds`` holds the best full-trajectory wall time over the timed
+    passes.  Parity against the per-voxel reference oracle (images within
+    1e-9, statistics exactly equal, frame by frame) is recorded from a
+    dedicated untimed pass.
     """
 
     scene: str
@@ -312,18 +271,15 @@ class TrajectoryBenchResult:
     resolution_scale: float
     repeats: int
     voxel_size: float = 0.0
-    seconds: Dict[str, float] = field(default_factory=dict)
+    seconds: float = 0.0
     max_image_delta: float = 0.0
     stats_equal: bool = False
     stats_detail: str = ""
-    temporal: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def warm_ratio(self) -> float:
-        """Amortized carry-trajectory time over the cold trajectory's."""
-        off = self.seconds.get("off", 0.0)
-        carry = self.seconds.get("carry", 0.0)
-        return carry / off if off else 0.0
+    def ms_per_frame(self) -> float:
+        """Amortized wall time per frame of the best timed pass."""
+        return 1e3 * self.seconds / max(1, self.frames)
 
     def as_dict(self) -> dict:
         return {
@@ -333,41 +289,26 @@ class TrajectoryBenchResult:
             "resolution_scale": self.resolution_scale,
             "repeats": self.repeats,
             "voxel_size": self.voxel_size,
-            "seconds": dict(self.seconds),
-            "warm_ratio": self.warm_ratio,
+            "seconds": self.seconds,
+            "ms_per_frame": self.ms_per_frame,
             "max_image_delta": self.max_image_delta,
             "stats_equal": self.stats_equal,
             "stats_detail": self.stats_detail,
-            "temporal": dict(self.temporal),
         }
 
     def format(self) -> str:
-        lines = [
-            "trajectory temporal-coherence benchmark "
-            f"({self.scene}/{self.path}, {self.frames} frames @ "
-            f"{self.resolution_scale:g}x, voxel {self.voxel_size:g}, "
-            f"{self.repeats} repeat(s))"
-        ]
-        for name in sorted(self.seconds):
-            per_frame = self.seconds[name] / max(1, self.frames)
-            lines.append(
-                f"  temporal_mode={name:<6} {self.seconds[name] * 1e3:9.1f} ms "
-                f"({per_frame * 1e3:7.1f} ms/frame)"
-            )
-        lines.append(
-            f"  warm ratio (carry / off): {self.warm_ratio:.3f}; "
-            f"max |image delta| = {self.max_image_delta:.3g}; "
-            f"stats {'EQUAL' if self.stats_equal else 'DIFFER: ' + self.stats_detail}"
+        return "\n".join(
+            [
+                "trajectory benchmark "
+                f"({self.scene}/{self.path}, {self.frames} frames @ "
+                f"{self.resolution_scale:g}x, voxel {self.voxel_size:g}, "
+                f"{self.repeats} repeat(s))",
+                f"  {self.seconds * 1e3:9.1f} ms ({self.ms_per_frame:7.1f} ms/frame)",
+                f"  vs reference oracle: max |image delta| = "
+                f"{self.max_image_delta:.3g}; "
+                f"stats {'EQUAL' if self.stats_equal else 'DIFFER: ' + self.stats_detail}",
+            ]
         )
-        if self.temporal:
-            lines.append(
-                "  carry telemetry: "
-                f"{self.temporal.get('cold_frames', 0)} cold / "
-                f"{self.temporal.get('frames', 0)} frames, "
-                f"hit rate {float(self.temporal.get('coherence_hit_rate', 0.0)):.3f}, "
-                f"orders carried {self.temporal.get('orders_carried', 0)}"
-            )
-        return "\n".join(lines)
 
 
 def run_trajectory_benchmark(
@@ -378,15 +319,13 @@ def run_trajectory_benchmark(
     repeats: int = 3,
     config: Optional[StreamingConfig] = None,
 ) -> TrajectoryBenchResult:
-    """Time a trajectory under ``temporal_mode="carry"`` against ``"off"``.
+    """Time a trajectory through the fast path, checking it against the oracle.
 
-    Both paths render the identical camera path on fresh renderers with
-    the frame-preparation cache disabled (it would replay whole frames and
-    hide the comparison).  An untimed first pass checks frame-by-frame
-    parity — images within 1e-9, statistics exactly equal — and warms the
-    carry context's content-keyed caches; the timed passes then measure
-    the amortized steady-state trajectory, interleaving the two modes so
-    machine-load drift biases neither side of the ratio.
+    The frame-preparation cache is disabled (the timed passes revisit the
+    same poses and would otherwise replay whole frames).  An untimed first
+    pass renders every frame through both the fast path and the per-voxel
+    reference loop and checks parity — images within 1e-9, statistics
+    exactly equal; the timed passes then measure the fast path alone.
     """
     from repro.scenes.registry import SCENE_REGISTRY, build_scene, trajectory_cameras
 
@@ -396,10 +335,10 @@ def run_trajectory_benchmark(
     )
     if base.frame_cache_size:
         base = base.with_options(frame_cache_size=0)
-    renderers = {
-        mode: StreamingRenderer(model, base.with_options(temporal_mode=mode))
-        for mode in ("off", "carry")
-    }
+    fast = StreamingRenderer(model, base)
+    oracle = StreamingRenderer(
+        model, base.with_options(streaming_kernel="reference"), quantizer=fast.quantizer
+    )
     cameras = trajectory_cameras(
         scene, path, frames, resolution_scale=resolution_scale
     )
@@ -414,25 +353,23 @@ def run_trajectory_benchmark(
     )
     result.stats_equal = True
     for index, camera in enumerate(cameras):
-        off_out = renderers["off"].render(camera)
-        carry_out = renderers["carry"].render(camera)
+        expected = oracle.render(camera)
+        actual = fast.render(camera)
         result.max_image_delta = max(
             result.max_image_delta,
-            float(np.max(np.abs(carry_out.image - off_out.image))),
+            float(np.max(np.abs(actual.image - expected.image))),
         )
-        ok, detail = streaming_stats_equal(off_out.stats, carry_out.stats)
+        ok, detail = streaming_stats_equal(expected.stats, actual.stats)
         if not ok and result.stats_equal:
             result.stats_equal = False
             result.stats_detail = f"frame {index}: {detail}"
-    best = {mode: float("inf") for mode in renderers}
+    best = float("inf")
     for _ in range(repeats):
-        for mode, renderer in renderers.items():
-            start = time.perf_counter()
-            for camera in cameras:
-                renderer.render(camera)
-            best[mode] = min(best[mode], time.perf_counter() - start)
-    result.seconds = dict(best)
-    result.temporal = dict(renderers["carry"].temporal.snapshot())
+        start = time.perf_counter()
+        for camera in cameras:
+            fast.render(camera)
+        best = min(best, time.perf_counter() - start)
+    result.seconds = best
     return result
 
 
@@ -443,20 +380,12 @@ def run_streaming_benchmark(
     repeats: int = 3,
     seed: int = 7,
     voxel_size: float = 0.5,
-    tile_workers: int = 0,
-    tile_mode: str = "auto",
     config: Optional[StreamingConfig] = None,
 ) -> StreamingBenchResult:
     """Time the streaming reference loop against the vectorized fast path.
 
     Frame preparation (ray traversal, topological sort) is warmed first so
-    the timings isolate the per-voxel render path the two kernels differ
-    in.  ``tile_workers > 1`` additionally times the vectorized path with
-    parallel tile rendering (process-based over shared memory by default;
-    ``tile_mode`` selects the path) and records the parallel frame's
-    parity against the serial one plus the zero-copy transport accounting.
-    A warm-up parallel render runs untimed first so pool start-up and the
-    one-time frame publication do not bias the steady-state timing.
+    the timings isolate the render path the two kernels differ in.
     """
     model = benchmark_scene(num_gaussians=num_gaussians, seed=seed)
     camera = benchmark_camera(width=width, height=height)
@@ -477,7 +406,6 @@ def run_streaming_benchmark(
         resolution=(width, height),
         voxel_size=voxel_size,
         repeats=repeats,
-        tile_workers=tile_workers,
     )
     outputs: Dict[str, object] = {}
     best: Dict[str, float] = {name: float("inf") for name in renderers}
@@ -488,29 +416,6 @@ def run_streaming_benchmark(
             start = time.perf_counter()
             outputs[name] = renderer.render(camera)
             best[name] = min(best[name], time.perf_counter() - start)
-    if tile_workers > 1:
-        parallel_output = renderers["vectorized"].render(
-            camera, tile_workers=tile_workers, tile_mode=tile_mode
-        )
-        result.tile_mode = str(parallel_output.telemetry.get("tile_mode", ""))
-        result.shm_segments = int(parallel_output.telemetry.get("shm_segments", 0))
-        result.pickled_bytes = int(parallel_output.telemetry.get("pickled_bytes", 0))
-        best["vectorized_parallel"] = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            renderers["vectorized"].render(
-                camera, tile_workers=tile_workers, tile_mode=tile_mode
-            )
-            best["vectorized_parallel"] = min(
-                best["vectorized_parallel"], time.perf_counter() - start
-            )
-        serial_vectorized = outputs["vectorized"]
-        result.parallel_image_delta = float(
-            np.max(np.abs(parallel_output.image - serial_vectorized.image))
-        )
-        result.parallel_stats_equal, result.parallel_stats_detail = (
-            streaming_stats_equal(serial_vectorized.stats, parallel_output.stats)
-        )
     result.seconds = dict(best)
 
     reference, vectorized = outputs["reference"], outputs["vectorized"]

@@ -15,20 +15,14 @@ within one run.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.config import TEMPORAL_MODES, StreamingConfig
-from repro.core.pipeline import (
-    STREAMING_KERNELS,
-    TILE_MODES,
-    StreamingRenderer,
-    StreamingRenderOutput,
-)
+from repro.core.config import StreamingConfig
+from repro.core.pipeline import StreamingRenderer, StreamingRenderOutput
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RenderOutput, TileRasterizer
@@ -82,74 +76,29 @@ class RenderResponse:
 
 @dataclass(frozen=True)
 class RenderOptions:
-    """How a render request executes — scheduling and kernel knobs.
+    """How a render request executes, as opposed to *what* renders.
 
-    The first-class replacement for the loose ``tile_workers=`` /
-    ``tile_mode=`` keywords :meth:`RenderService.render` used to take:
-    everything about *how* a frame renders (as opposed to *what* renders,
-    which stays on :class:`RenderRequest`) lives here, so new execution
-    knobs never widen the service signatures again.
+    What renders — model, camera, :class:`StreamingConfig` (including the
+    ``streaming_kernel`` that selects the reference oracle) — stays on
+    :class:`RenderRequest`; per-call execution settings live here, so they
+    never widen the service signatures.
 
     Attributes
     ----------
-    tile_workers:
-        Workers rendering independent tiles concurrently (``1`` = serial).
-    tile_mode:
-        Parallel-tile path: ``"auto"`` (processes, degrading to threads),
-        ``"process"`` or ``"thread"``; ignored with one worker.
-    streaming_kernel:
-        Override of :attr:`StreamingConfig.streaming_kernel` for this call
-        (``None`` keeps the config's kernel).
-    temporal_mode:
-        Override of :attr:`StreamingConfig.temporal_mode` for this call
-        (``None`` keeps the config's mode) — ``"carry"`` turns the
-        temporal-coherence fast path on for trajectory renders.
     resolution_scale:
         Scale factor applied to the request camera's resolution (and
         focal lengths); ``1.0`` renders at the camera's native size.
     """
 
-    tile_workers: int = 1
-    tile_mode: str = "auto"
-    streaming_kernel: Optional[str] = None
-    temporal_mode: Optional[str] = None
     resolution_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.tile_workers < 1:
-            raise ValueError(f"tile_workers must be >= 1, got {self.tile_workers}")
-        if self.tile_mode not in TILE_MODES:
-            raise ValueError(
-                f"tile_mode must be one of {TILE_MODES}, got {self.tile_mode!r}"
-            )
-        if (
-            self.streaming_kernel is not None
-            and self.streaming_kernel not in STREAMING_KERNELS
-        ):
-            raise ValueError(
-                f"unknown streaming_kernel {self.streaming_kernel!r}; "
-                f"available: {sorted(STREAMING_KERNELS)}"
-            )
-        if self.temporal_mode is not None and self.temporal_mode not in TEMPORAL_MODES:
-            raise ValueError(
-                f"unknown temporal_mode {self.temporal_mode!r}; "
-                f"available: {sorted(TEMPORAL_MODES)}"
-            )
         if not self.resolution_scale > 0:
             raise ValueError(
                 f"resolution_scale must be positive, got {self.resolution_scale!r}"
             )
 
     # ------------------------------------------------------------------
-    def resolved_config(self, config: StreamingConfig) -> StreamingConfig:
-        """``config`` with this call's kernel/temporal overrides applied."""
-        overrides: Dict[str, Any] = {}
-        if self.streaming_kernel is not None:
-            overrides["streaming_kernel"] = self.streaming_kernel
-        if self.temporal_mode is not None:
-            overrides["temporal_mode"] = self.temporal_mode
-        return config.with_options(**overrides) if overrides else config
-
     def resolved_camera(self, camera: Camera) -> Camera:
         """``camera`` scaled to this call's resolution."""
         if self.resolution_scale == 1.0:
@@ -171,45 +120,6 @@ class RenderOptions:
                 f"unknown RenderOptions fields {sorted(unknown)}; known: {sorted(known)}"
             )
         return cls(**dict(data))
-
-
-#: One-shot flag of the deprecated-keyword shim: the first caller still
-#: passing ``tile_workers=``/``tile_mode=`` gets a DeprecationWarning, the
-#: rest of the process stays quiet.
-_DEPRECATED_KWARGS_WARNED = False
-
-
-def _resolve_options(
-    options: Optional[RenderOptions],
-    tile_workers: Optional[int],
-    tile_mode: Optional[str],
-) -> RenderOptions:
-    """Fold the deprecated loose keywords into a :class:`RenderOptions`.
-
-    Warns (once per process) when the old keywords are used; mixing them
-    with ``options`` is an error because the intent is ambiguous.
-    """
-    global _DEPRECATED_KWARGS_WARNED
-    if tile_workers is None and tile_mode is None:
-        return options if options is not None else RenderOptions()
-    if options is not None:
-        raise TypeError(
-            "pass options=RenderOptions(...) or the deprecated "
-            "tile_workers=/tile_mode= keywords, not both"
-        )
-    if not _DEPRECATED_KWARGS_WARNED:
-        _DEPRECATED_KWARGS_WARNED = True
-        warnings.warn(
-            "the tile_workers=/tile_mode= keywords of RenderService.render and "
-            "render_batch are deprecated; pass "
-            "options=RenderOptions(tile_workers=..., tile_mode=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return RenderOptions(
-        tile_workers=1 if tile_workers is None else tile_workers,
-        tile_mode="auto" if tile_mode is None else tile_mode,
-    )
 
 
 class RenderService:
@@ -238,14 +148,10 @@ class RenderService:
         self.renderer_hits = 0
         self.renderer_misses = 0
         self.peak_renderers = 0
-        self.parallel_tile_frames = 0
-        #: Telemetry of the most recent streaming render (kernel, tile
-        #: worker count, tiles, wall seconds) — per-frame observability for
-        #: the runner's ``--telemetry-json`` dump.
+        #: Telemetry of the most recent streaming render (kernel, tiles,
+        #: wall seconds) — per-frame observability for the runner's
+        #: ``--telemetry-json`` dump.
         self.last_frame: Optional[dict] = None
-        #: Aggregated telemetry of the most recent :meth:`render_trajectory`
-        #: (frame counts, carried/revalidated voxels, coherence hit rate).
-        self.last_trajectory: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def streaming_renderer(
@@ -301,27 +207,18 @@ class RenderService:
         request: RenderRequest,
         options: Optional[RenderOptions] = None,
         _fingerprint: Optional[str] = None,
-        tile_workers: Optional[int] = None,
-        tile_mode: Optional[str] = None,
     ) -> RenderResponse:
         """Serve one request.
 
-        ``options`` (:class:`RenderOptions`) says how the frame executes:
-        tile workers and their mode, per-call streaming-kernel / temporal
-        overrides, and the resolution scale.  Images are identical and
-        statistics deterministic regardless of scheduling, with the
-        per-frame telemetry (including the mode actually taken) recorded
-        in :attr:`last_frame`.
-
-        ``tile_workers=`` / ``tile_mode=`` remain accepted as deprecated
-        keywords (one DeprecationWarning per process) and fold into an
-        equivalent :class:`RenderOptions`.  ``_fingerprint`` is internal:
-        :meth:`render_batch` passes the model hash it already computed for
-        grouping, so a batch hashes each model once instead of once per
-        request.
+        ``options`` (:class:`RenderOptions`) says how the frame executes —
+        the resolution scale.  The per-frame telemetry of a streaming
+        render is recorded in :attr:`last_frame`.  ``_fingerprint`` is
+        internal: :meth:`render_batch` passes the model hash it already
+        computed for grouping, so a batch hashes each model once instead of
+        once per request.
         """
-        options = _resolve_options(options, tile_workers, tile_mode)
-        config = options.resolved_config(request.config or StreamingConfig())
+        options = options if options is not None else RenderOptions()
+        config = request.config or StreamingConfig()
         camera = options.resolved_camera(request.camera)
         if request.mode == "tile":
             output: Union[RenderOutput, StreamingRenderOutput] = self.tile_rasterizer(
@@ -330,14 +227,8 @@ class RenderService:
         else:
             output = self.streaming_renderer(
                 request.model, config, fingerprint=_fingerprint
-            ).render(
-                camera,
-                tile_workers=options.tile_workers,
-                tile_mode=options.tile_mode,
-            )
+            ).render(camera)
             self.last_frame = dict(output.telemetry)
-            if output.telemetry.get("tile_workers", 1) > 1:
-                self.parallel_tile_frames += 1
         self.requests_served += 1
         return RenderResponse(request=request, output=output)
 
@@ -345,18 +236,14 @@ class RenderService:
         self,
         requests: Iterable[RenderRequest],
         options: Optional[RenderOptions] = None,
-        tile_workers: Optional[int] = None,
-        tile_mode: Optional[str] = None,
     ) -> List[RenderResponse]:
         """Serve many requests, sharing renderers and prepared frames.
 
         Requests are grouped by (model, config) so each streaming renderer
         is built once and its frame-preparation cache sees every camera of
         the group back to back.  ``options`` applies to every streaming
-        render of the batch (see :meth:`render`; the loose keywords are the
-        same deprecated shim).
+        render of the batch (see :meth:`render`).
         """
-        options = _resolve_options(options, tile_workers, tile_mode)
         indexed = list(enumerate(requests))
         responses: List[Optional[RenderResponse]] = [None] * len(indexed)
         streaming = [(i, r) for i, r in indexed if r.mode == "streaming"]
@@ -397,18 +284,13 @@ class RenderService:
         """Render a camera trajectory frame by frame through one renderer.
 
         The frames share a single streaming renderer (the model is hashed
-        once) and run in trajectory order, which is what the temporal
-        carry path needs: with ``options.temporal_mode="carry"`` (or a
-        config whose ``temporal_mode`` is already ``"carry"``) each frame
-        revalidates the previous frame's carried per-tile state instead of
-        rebuilding it.  Per-frame telemetry is aggregated into
-        :attr:`last_trajectory` (frame counts, carried/revalidated voxel
-        totals, overall coherence hit rate).
+        once) and run in trajectory order, so consecutive frames share its
+        voxel grid, layout and frame-preparation cache.  Each response's
+        ``output.telemetry`` holds that frame's execution record.
         """
         options = options if options is not None else RenderOptions()
         fingerprint = model.content_fingerprint()
         responses: List[RenderResponse] = []
-        frames: List[dict] = []
         for index, camera in enumerate(cameras):
             request = RenderRequest(
                 model=model,
@@ -420,23 +302,6 @@ class RenderService:
             responses.append(
                 self.render(request, options=options, _fingerprint=fingerprint)
             )
-            frames.append(dict(self.last_frame or {}))
-        carried = sum(int(f.get("carried_voxels", 0)) for f in frames)
-        revalidated = sum(int(f.get("revalidated", 0)) for f in frames)
-        reused = carried + revalidated
-        self.last_trajectory = {
-            "frames": len(frames),
-            "warm_frames": sum(
-                1
-                for f in frames
-                if f.get("temporal_mode") == "carry" and not f.get("cold_frame")
-            ),
-            "cold_frames": sum(1 for f in frames if f.get("cold_frame", True)),
-            "carried_voxels": carried,
-            "revalidated": revalidated,
-            "coherence_hit_rate": carried / reused if reused else 0.0,
-            "per_frame": frames,
-        }
         return responses
 
     # ------------------------------------------------------------------
@@ -458,43 +323,15 @@ class RenderService:
         return tile.output, streaming.output  # type: ignore[return-value]
 
     def stats(self) -> dict:
-        """Counter snapshot (requests served, renderer cache, temporal reuse).
-
-        The ``temporal`` block aggregates every live renderer's
-        :class:`~repro.engine.temporal.TemporalContext` counters, so the
-        service daemon's ``/metrics`` endpoint exposes trajectory-coherence
-        behaviour without reaching into individual renderers.
-        """
+        """Counter snapshot (requests served, renderer cache, last frame)."""
         with self._lock:
-            temporal = {
-                "frames": 0,
-                "cold_frames": 0,
-                "teleports": 0,
-                "carried_voxels": 0,
-                "revalidated_voxels": 0,
-                "orders_carried": 0,
-                "orders_computed": 0,
-            }
-            for renderer in self._renderers.values():
-                snap = renderer.temporal.snapshot()
-                for key in temporal:
-                    temporal[key] += int(snap.get(key, 0))
-            reused = temporal["carried_voxels"] + temporal["revalidated_voxels"]
-            temporal["coherence_hit_rate"] = (
-                temporal["carried_voxels"] / reused if reused else 0.0
-            )
             return {
                 "requests_served": self.requests_served,
                 "renderer_hits": self.renderer_hits,
                 "renderer_misses": self.renderer_misses,
                 "renderers_alive": len(self._renderers),
                 "peak_renderers": self.peak_renderers,
-                "parallel_tile_frames": self.parallel_tile_frames,
-                "temporal": temporal,
                 "last_frame": dict(self.last_frame) if self.last_frame else None,
-                "last_trajectory": (
-                    dict(self.last_trajectory) if self.last_trajectory else None
-                ),
             }
 
     def clear(self) -> None:

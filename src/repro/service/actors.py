@@ -153,7 +153,6 @@ def _execute(
             "frames": int(result.metrics.get("frames", spec.frames)),
             "resolution_scale": float(spec.resolution_scale),
             "metrics": result.metrics,
-            "summary": dict(result.payload.get("summary") or {}),
             "image_checksums": list(result.payload.get("image_checksums") or []),
         }
 

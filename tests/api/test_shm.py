@@ -3,8 +3,7 @@
 The promises under test: a :class:`~repro.api.shm.SharedArrayHandle`
 round-trips exact bytes through pickling and reattach; a
 :class:`~repro.api.shm.ShmRegistry` unlinks every segment it created —
-after ``Session.close()``, after a worker dies mid-render, and after a
-``KeyboardInterrupt`` lands in the middle of a parallel dispatch; and the
+after ``Session.close()`` and after a sweep worker dies; and the
 warm process workers of a session's persistent pool adopt broadcast
 contexts instead of rebuilding them (``context_rebuilds == 0`` on the
 second identical sweep).
@@ -26,11 +25,6 @@ from repro.api import (
     sweep,
 )
 from repro.api.shm import SharedMemoryUnavailable, ShmPackage, ShmRegistry
-from repro.core.config import StreamingConfig
-from repro.core.pipeline import StreamingRenderer
-from repro.engine import tile_parallel
-from repro.engine.bench import streaming_stats_equal
-from tests.conftest import make_camera, make_model
 
 needs_shm = pytest.mark.skipif(not shm_available(), reason="no shared memory")
 
@@ -47,12 +41,6 @@ def assert_no_new_segments(baseline):
     assert set(leaked_segments()) <= baseline
 
 
-def make_renderer():
-    model = make_model(num_gaussians=250, extent=4.0, seed=12)
-    renderer = StreamingRenderer(model, StreamingConfig(voxel_size=1.0, use_vq=False))
-    return renderer, make_camera(width=48, height=32)
-
-
 class _DyingPool:
     """A process pool whose futures fail like dead workers."""
 
@@ -63,19 +51,6 @@ class _DyingPool:
         future = concurrent.futures.Future()
         future.set_exception(BrokenProcessPool("worker died mid-render"))
         return future
-
-    def shutdown(self, wait=True, **kwargs):
-        pass
-
-
-class _InterruptedPool:
-    """A pool hit by Ctrl-C at dispatch time."""
-
-    def __init__(self, max_workers=None, mp_context=None):
-        pass
-
-    def submit(self, fn, *args, **kwargs):
-        raise KeyboardInterrupt
 
     def shutdown(self, wait=True, **kwargs):
         pass
@@ -233,38 +208,6 @@ class TestRegistryLifecycle:
         assert session.context_package(spec) is package  # cached per key
         session.close()
         assert_no_new_segments(shm_baseline)
-
-
-@needs_shm
-class TestRenderFaults:
-    def test_successful_parallel_render_leaves_no_segments(self, shm_baseline):
-        renderer, camera = make_renderer()
-        output = renderer.render(camera, tile_workers=2)
-        assert output.telemetry["tile_mode"] in ("process", "thread")
-        assert_no_new_segments(shm_baseline)
-
-    def test_worker_death_degrades_to_threads_without_leaks(self, monkeypatch, shm_baseline):
-        renderer, camera = make_renderer()
-        serial = renderer.render(camera)
-        monkeypatch.setattr(tile_parallel, "_tile_pool", lambda workers: _DyingPool())
-        degraded = renderer.render(camera, tile_workers=2)
-        assert degraded.telemetry["tile_mode"] == "thread"
-        assert "tile_mode_degraded" in degraded.telemetry
-        np.testing.assert_array_equal(degraded.image, serial.image)
-        equal, detail = streaming_stats_equal(serial.stats, degraded.stats)
-        assert equal, detail
-        assert_no_new_segments(shm_baseline)
-
-    def test_keyboard_interrupt_mid_dispatch_leaves_no_segments(self, monkeypatch, shm_baseline):
-        renderer, camera = make_renderer()
-        monkeypatch.setattr(
-            tile_parallel, "_tile_pool", lambda workers: _InterruptedPool()
-        )
-        with pytest.raises(KeyboardInterrupt):
-            renderer.render(camera, tile_workers=2)
-        assert_no_new_segments(shm_baseline)
-        # The renderer is still usable afterwards on the serial path.
-        renderer.render(camera)
 
 
 @needs_shm

@@ -1,8 +1,8 @@
-"""Tests for ExperimentSpec validation and sweep() grid expansion."""
+"""Tests for ExperimentSpec/TrajectorySpec validation and sweep() grid expansion."""
 
 import pytest
 
-from repro.api.spec import ExperimentSpec, sweep
+from repro.api.spec import ExperimentSpec, TrajectorySpec, sweep
 from repro.arch.accelerator import AcceleratorConfig
 from repro.core.config import StreamingConfig
 
@@ -141,3 +141,27 @@ class TestSweep:
         base = ExperimentSpec(scene="lego", tag="solo")
         specs = sweep(base)
         assert specs == [base]
+
+
+class TestTrajectorySpecOptions:
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("temporal_mode", "carry"),
+            ("tile_workers", 2),
+            ("tile_mode", "process"),
+            ("streaming_kernel", "reference"),
+        ],
+    )
+    def test_removed_execution_knobs_are_unknown_overrides(self, knob, value):
+        with pytest.raises(ValueError, match="unknown RenderOptions override"):
+            TrajectorySpec(scene="lego", options={knob: value})
+        with pytest.raises(ValueError, match="unknown RenderOptions override"):
+            TrajectorySpec.from_dict({"scene": "lego", "options": {knob: value}})
+
+    def test_oracle_is_selected_through_the_config(self):
+        spec = TrajectorySpec(scene="lego", config={"streaming_kernel": "reference"})
+        assert spec.streaming_config().streaming_kernel == "reference"
+        assert TrajectorySpec(scene="lego").streaming_config() == StreamingConfig(
+            voxel_size=spec.descriptor.default_voxel_size
+        )

@@ -1,14 +1,15 @@
 """Golden-equivalence suite for the vectorized streaming render path.
 
-The acceptance bar of the streaming fast path (PR 5): across scenes,
-compression variants and filter configurations, the batched per-voxel path
-(``StreamingConfig.streaming_kernel="vectorized"``) must produce images
-within 1e-9 of the voxel-at-a-time reference loop and *exactly* equal
-workload statistics — fragment counts, hierarchical-filter reductions,
-DRAM traffic, sort-list shapes and depth-order violation sets.  The same
-bar applies to the batched building blocks (hierarchical filter, DDA
-traversal, traffic accounting) against their serial counterparts, and to
-parallel tile rendering against the serial tile loop.
+The acceptance bar of the streaming fast path: across scenes, compression
+variants, filter configurations and camera trajectories, the frame-level
+path (``StreamingConfig.streaming_kernel="vectorized"``) must produce
+images within 1e-9 of the voxel-at-a-time reference loop and *exactly*
+equal workload statistics — fragment counts, hierarchical-filter
+reductions, DRAM traffic, sort-list shapes and depth-order violation sets.
+The same bar applies to the batched building blocks (frame-level
+hierarchical filter, DDA traversal, traffic accounting) against their
+serial counterparts.  ``test_streaming_fuzz.py`` extends the comparison to
+random scenes, cameras and configs.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.core.pipeline import STREAMING_KERNELS, StreamingRenderer
 from repro.core.ray_voxel import _tile_ray_pixels, traverse_ray, traverse_rays
 from repro.core.voxel_grid import VoxelGrid
 from repro.engine.bench import streaming_stats_equal
+from repro.gaussians.camera import Camera
 from repro.gaussians.tiles import TileGrid
 from tests.conftest import make_camera, make_model
 
@@ -133,73 +135,88 @@ class TestBatchedHierarchicalFilter:
         camera = make_camera(width=64, height=48, distance=7.0)
         return model, grid, camera
 
+    @staticmethod
+    def stream(grid, voxel_ids):
+        return grid.gaussians_in_voxels(np.asarray(voxel_ids, dtype=np.int64))
+
+    def test_gather_matches_per_voxel_lists(self, scene):
+        _, grid, _ = scene
+        voxel_ids = np.arange(grid.num_voxels)[::-1]
+        counts, candidates = self.stream(grid, voxel_ids)
+        np.testing.assert_array_equal(
+            counts, [len(grid.gaussians_in_voxel(v)) for v in voxel_ids]
+        )
+        np.testing.assert_array_equal(
+            candidates,
+            np.concatenate([grid.gaussians_in_voxel(v) for v in voxel_ids]),
+        )
+
     @pytest.mark.parametrize("use_coarse_filter", [False, True])
     def test_batch_matches_serial_per_voxel(self, scene, use_coarse_filter):
         model, grid, camera = scene
         hfilter = HierarchicalFilter(use_coarse_filter=use_coarse_filter)
-        bounds = (16, 0, 48, 32)
-        voxel_ids = list(range(grid.num_voxels))
-        voxel_lists = [grid.gaussians_in_voxel(v) for v in voxel_ids]
-        batch = hfilter.filter_voxel_batch(model, voxel_lists, camera, bounds)
-
-        offset = 0
-        for position, indices in enumerate(voxel_lists):
-            serial = hfilter.filter_voxel(model, indices, camera, bounds)
-            assert batch.voxel_stats(position) == serial.stats
-            count = int(batch.survivor_counts[position])
-            assert count == len(serial.indices)
-            segment = slice(offset, offset + count)
-            np.testing.assert_array_equal(batch.indices[segment], serial.indices)
-            np.testing.assert_array_equal(
-                batch.segment_ids[segment], np.full(count, position)
-            )
-            # Projection math is row-independent but BLAS kernels may pick
-            # different instruction paths per batch size, so survivor
-            # projections agree to the last few ulps, not bit-for-bit.
-            np.testing.assert_allclose(
-                batch.projected.depths[segment],
-                serial.projected.depths,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                batch.projected.means2d[segment],
-                serial.projected.means2d,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                batch.projected.conics[segment],
-                serial.projected.conics,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                batch.projected.colors[segment],
-                serial.projected.colors,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            offset += count
+        # Two tiles with different voxel streams share one projection.
+        tile_bounds = [(16, 0, 48, 32), (0, 16, 32, 48)]
+        tile_voxels = [list(range(grid.num_voxels)), list(range(grid.num_voxels))[::-2]]
+        frame = hfilter.filter_voxel_batch(
+            model, camera, tile_bounds, [self.stream(grid, v) for v in tile_voxels]
+        )
+        assert len(frame.tiles) == 2
+        for bounds, voxel_ids, batch in zip(tile_bounds, tile_voxels, frame.tiles):
+            offset = 0
+            for position, voxel_id in enumerate(voxel_ids):
+                indices = grid.gaussians_in_voxel(voxel_id)
+                serial = hfilter.filter_voxel(model, indices, camera, bounds)
+                assert batch.voxel_stats(position) == serial.stats
+                count = int(batch.fine_passed[position])
+                assert count == len(serial.indices)
+                segment = slice(offset, offset + count)
+                np.testing.assert_array_equal(batch.indices[segment], serial.indices)
+                np.testing.assert_array_equal(
+                    batch.segment_ids[segment], np.full(count, position)
+                )
+                # Projection math is row-independent but BLAS kernels may
+                # pick different instruction paths per batch size, so
+                # survivor projections agree to the last few ulps, not
+                # bit-for-bit.
+                rows = batch.rows[segment]
+                for name in ("depths", "means2d", "conics", "colors"):
+                    np.testing.assert_allclose(
+                        getattr(frame.projected, name)[rows],
+                        getattr(serial.projected, name),
+                        rtol=1e-12,
+                        atol=1e-12,
+                    )
+                offset += count
 
     def test_prefix_stats_matches_serial_accumulation(self, scene):
         model, grid, camera = scene
         hfilter = HierarchicalFilter()
         bounds = (0, 0, 32, 32)
-        voxel_lists = [grid.gaussians_in_voxel(v) for v in range(grid.num_voxels)]
-        batch = hfilter.filter_voxel_batch(model, voxel_lists, camera, bounds)
+        voxel_ids = list(range(grid.num_voxels))
+        frame = hfilter.filter_voxel_batch(
+            model, camera, [bounds], [self.stream(grid, voxel_ids)]
+        )
+        batch = frame.tiles[0]
         accumulated = FilterStats()
-        for position, indices in enumerate(voxel_lists):
+        for position, voxel_id in enumerate(voxel_ids):
             accumulated = accumulated.merge(
-                hfilter.filter_voxel(model, indices, camera, bounds).stats
+                hfilter.filter_voxel(
+                    model, grid.gaussians_in_voxel(voxel_id), camera, bounds
+                ).stats
             )
             assert batch.prefix_stats(position + 1) == accumulated
 
     def test_empty_batch(self, scene):
         model, grid, camera = scene
-        batch = HierarchicalFilter().filter_voxel_batch(
-            model, [], camera, (0, 0, 16, 16)
+        hfilter = HierarchicalFilter()
+        frame = hfilter.filter_voxel_batch(model, camera, [], [])
+        assert frame.tiles == []
+        assert len(frame.projected) == 0
+        frame = hfilter.filter_voxel_batch(
+            model, camera, [(0, 0, 16, 16)], [self.stream(grid, [])]
         )
+        batch = frame.tiles[0]
         assert batch.num_voxels == 0
         assert len(batch.indices) == 0
         assert batch.prefix_stats(0) == FilterStats()
@@ -298,43 +315,72 @@ class TestBatchedTraffic:
         ) == LayoutTraffic()
 
 
-class TestParallelTileRendering:
-    @pytest.mark.parametrize("streaming_kernel", STREAMING_KERNELS)
-    def test_parallel_tiles_match_serial(self, streaming_kernel):
-        model = make_model(num_gaussians=350, extent=5.0, scale=0.12, seed=5)
-        camera = make_camera(width=64, height=48, distance=6.0)
-        renderer = StreamingRenderer(
+def _orbit_camera(angle_deg: float, distance: float, height: float = 0.6) -> Camera:
+    angle = np.deg2rad(angle_deg)
+    return Camera.from_lookat(
+        eye=(distance * np.cos(angle), distance * np.sin(angle), height),
+        target=(0.0, 0.0, 0.0),
+        width=48,
+        height=32,
+        fov_deg=60.0,
+    )
+
+
+def _trajectory(path: str, distance: float):
+    """Small deterministic camera paths."""
+    if path == "orbit":
+        return [_orbit_camera(4.0 * i, distance) for i in range(5)]
+    if path == "dolly":
+        return [_orbit_camera(0.0, distance * (1.0 - 0.02 * i)) for i in range(5)]
+    if path == "repeat":
+        return [_orbit_camera(30.0, distance)] * 4
+    if path == "jump":
+        return [_orbit_camera(90.0 * i, distance) for i in range(4)]
+    raise AssertionError(path)
+
+
+class TestTrajectoryParity:
+    """Frame sequences through one renderer stay exact against the oracle."""
+
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    @pytest.mark.parametrize("path", ["orbit", "dolly", "repeat", "jump"])
+    def test_matches_oracle_frame_by_frame(self, scene, path):
+        model = make_model(**SCENES[scene])
+        base = StreamingConfig(
+            voxel_size=SCENE_SETUP[scene]["voxel_size"], frame_cache_size=0
+        )
+        fast = StreamingRenderer(model, base)
+        oracle = StreamingRenderer(
             model,
-            StreamingConfig(
-                voxel_size=1.0, use_vq=False, streaming_kernel=streaming_kernel
-            ),
+            base.with_options(streaming_kernel="reference"),
+            quantizer=fast.quantizer,
         )
-        serial = renderer.render(camera)
-        parallel = renderer.render(camera, tile_workers=4)
-        # Tiles are independent: images are identical, not merely close.
-        np.testing.assert_array_equal(parallel.image, serial.image)
-        np.testing.assert_array_equal(parallel.alpha, serial.alpha)
-        equal, detail = streaming_stats_equal(serial.stats, parallel.stats)
-        assert equal, detail
-        assert parallel.telemetry["tile_workers"] == 4
-        assert serial.telemetry["tile_workers"] == 1
+        for index, camera in enumerate(
+            _trajectory(path, SCENE_SETUP[scene]["distance"])
+        ):
+            expected, actual = oracle.render(camera), fast.render(camera)
+            np.testing.assert_allclose(
+                actual.image, expected.image, atol=GOLDEN_ATOL,
+                err_msg=f"frame {index} image diverged",
+            )
+            np.testing.assert_allclose(
+                actual.alpha, expected.alpha, atol=GOLDEN_ATOL,
+                err_msg=f"frame {index} alpha diverged",
+            )
+            equal, detail = streaming_stats_equal(expected.stats, actual.stats)
+            assert equal, f"frame {index}: {detail}"
 
-    def test_parallel_render_is_deterministic(self):
-        model = make_model(num_gaussians=250, extent=4.0, seed=12)
-        camera = make_camera(width=48, height=32)
-        renderer = StreamingRenderer(
-            model, StreamingConfig(voxel_size=1.0, use_vq=False)
-        )
-        first = renderer.render(camera, tile_workers=3)
-        second = renderer.render(camera, tile_workers=3)
-        np.testing.assert_array_equal(first.image, second.image)
-        np.testing.assert_array_equal(
-            first.stats.gaussian_blend_weight, second.stats.gaussian_blend_weight
-        )
-        assert first.stats.sort_list_lengths == second.stats.sort_list_lengths
 
-    def test_tile_workers_validated(self):
-        model = make_model(num_gaussians=50, seed=1)
-        renderer = StreamingRenderer(model, StreamingConfig(voxel_size=1.0, use_vq=False))
-        with pytest.raises(ValueError, match="tile_workers"):
-            renderer.render(make_camera(width=32, height=32), tile_workers=0)
+def test_render_takes_no_execution_knobs():
+    """The camera is the only render argument; no per-call execution path."""
+    model = make_model(num_gaussians=50, seed=1)
+    renderer = StreamingRenderer(model, StreamingConfig(voxel_size=1.0, use_vq=False))
+    camera = make_camera(width=32, height=32)
+    for knob in ("tile_workers", "tile_mode"):
+        with pytest.raises(TypeError):
+            renderer.render(camera, **{knob: 1})
+    assert set(renderer.render(camera).telemetry) == {
+        "streaming_kernel",
+        "tiles",
+        "seconds",
+    }

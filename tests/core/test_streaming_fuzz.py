@@ -102,12 +102,10 @@ def draw_case(seed: int):
     return model, camera, config, kind
 
 
-@pytest.mark.parametrize("path", ["tile", "carry"])
 @pytest.mark.parametrize("seed", range(NUM_CASES))
-def test_fast_path_matches_reference_oracle(seed, path):
+def test_fast_path_matches_reference_oracle(seed):
     model, camera, config, kind = draw_case(seed)
-    fast_config = config.with_options(temporal_mode="carry") if path == "carry" else config
-    fast = StreamingRenderer(model, fast_config)
+    fast = StreamingRenderer(model, config)
     oracle = StreamingRenderer(
         model,
         config.with_options(streaming_kernel="reference"),
@@ -115,7 +113,7 @@ def test_fast_path_matches_reference_oracle(seed, path):
     )
     expected = oracle.render(camera)
     actual = fast.render(camera)
-    case = f"fuzz seed {seed} ({kind}, {path}): {config}"
+    case = f"fuzz seed {seed} ({kind}): {config}"
     assert actual.telemetry["streaming_kernel"] == "vectorized", case
     np.testing.assert_allclose(actual.image, expected.image, atol=GOLDEN_ATOL, err_msg=case)
     np.testing.assert_allclose(actual.alpha, expected.alpha, atol=GOLDEN_ATOL, err_msg=case)
@@ -125,7 +123,7 @@ def test_fast_path_matches_reference_oracle(seed, path):
 
 def test_forced_edge_cases_reach_their_corner():
     """The forced cases really exercise the corner they are named after."""
-    cases = {draw_case(seed)[3]: draw_case(seed) for seed in range(len(FORCED))}
+    cases = {case[3]: case for case in map(draw_case, range(len(FORCED)))}
 
     model, camera, config, _ = cases["ragged-tiles"]
     assert camera.width % config.tile_size and camera.height % config.tile_size

@@ -96,31 +96,15 @@ def test_default_service_is_shared():
     assert get_default_service() is get_default_service()
 
 
-def test_parallel_tile_rendering_through_service(scene):
-    model, camera, config = scene
-    service = RenderService()
-    request = RenderRequest(model=model, camera=camera, config=config)
-    serial = service.render(request)
-    parallel = service.render(request, options=RenderOptions(tile_workers=3))
-    np.testing.assert_array_equal(parallel.image, serial.image)
-    np.testing.assert_array_equal(parallel.alpha, serial.alpha)
-    assert parallel.stats.blended_fragments == serial.stats.blended_fragments
-    stats = service.stats()
-    assert stats["parallel_tile_frames"] == 1
-    assert stats["last_frame"]["tile_workers"] == 3
-    assert stats["last_frame"]["streaming_kernel"] == config.streaming_kernel
-    assert stats["last_frame"]["seconds"] > 0.0
-
-
 def test_frame_telemetry_recorded_per_streaming_render(scene):
     model, camera, config = scene
     service = RenderService()
     assert service.stats()["last_frame"] is None
     service.render(RenderRequest(model=model, camera=camera, config=config))
     telemetry = service.stats()["last_frame"]
-    assert telemetry["tile_workers"] == 1
+    assert telemetry["streaming_kernel"] == config.streaming_kernel
     assert telemetry["tiles"] > 0
-    assert service.stats()["parallel_tile_frames"] == 0
+    assert telemetry["seconds"] > 0.0
     # Tile-mode renders leave the streaming telemetry untouched.
     service.render(
         RenderRequest(model=model, camera=camera, config=config, mode="tile")
@@ -129,26 +113,22 @@ def test_frame_telemetry_recorded_per_streaming_render(scene):
 
 
 # ----------------------------------------------------------------------
-# RenderOptions and the deprecated-keyword shim.
+# RenderOptions.
 # ----------------------------------------------------------------------
 def test_render_options_validation():
-    with pytest.raises(ValueError, match="tile_workers"):
-        RenderOptions(tile_workers=0)
-    with pytest.raises(ValueError, match="tile_mode"):
-        RenderOptions(tile_mode="bogus")
-    with pytest.raises(ValueError, match="streaming_kernel"):
-        RenderOptions(streaming_kernel="bogus")
-    with pytest.raises(ValueError, match="temporal_mode"):
-        RenderOptions(temporal_mode="bogus")
     with pytest.raises(ValueError, match="resolution_scale"):
         RenderOptions(resolution_scale=0.0)
+    # Execution knobs of removed render paths are not options any more.
+    for knob in ("tile_workers", "tile_mode", "streaming_kernel", "temporal_mode"):
+        with pytest.raises(TypeError):
+            RenderOptions(**{knob: 1})
 
 
 def test_render_options_dict_roundtrip():
-    options = RenderOptions(tile_workers=2, temporal_mode="carry", resolution_scale=0.5)
+    options = RenderOptions(resolution_scale=0.5)
     assert RenderOptions.from_dict(options.to_dict()) == options
     with pytest.raises(ValueError, match="unknown RenderOptions fields"):
-        RenderOptions.from_dict({"tile_worker": 2})
+        RenderOptions.from_dict({"tile_workers": 2})
 
 
 def test_render_options_overrides(scene):
@@ -159,52 +139,31 @@ def test_render_options_overrides(scene):
     scaled = service.render(request, options=RenderOptions(resolution_scale=0.5))
     assert scaled.image.shape == (camera.height // 2, camera.width // 2, 3)
     assert plain.image.shape == (camera.height, camera.width, 3)
-    # A per-call temporal override renders through a carry-mode config
-    # without touching the request's own config object.
-    carried = service.render(request, options=RenderOptions(temporal_mode="carry"))
-    assert service.last_frame["temporal_mode"] == "carry"
-    np.testing.assert_allclose(carried.image, plain.image, atol=1e-9)
-    assert request.config.temporal_mode == "off"
-
-
-def test_deprecated_kwargs_warn_exactly_once(scene, monkeypatch):
-    from repro.engine import service as service_module
-
-    monkeypatch.setattr(service_module, "_DEPRECATED_KWARGS_WARNED", False)
-    model, camera, config = scene
-    service = RenderService()
-    request = RenderRequest(model=model, camera=camera, config=config)
-    with pytest.warns(DeprecationWarning, match="tile_workers"):
-        first = service.render(request, tile_workers=2)
-    # The shim warns once per process; later loose-keyword calls are quiet.
-    import warnings as warnings_module
-
-    with warnings_module.catch_warnings():
-        warnings_module.simplefilter("error")
-        second = service.render(request, tile_workers=2, tile_mode="thread")
-    np.testing.assert_array_equal(first.image, second.image)
-    with pytest.raises(TypeError, match="not both"):
-        service.render(request, options=RenderOptions(), tile_workers=2)
-
-
-def test_trajectory_telemetry_and_temporal_stats(scene):
-    model, camera, config = scene
-    service = RenderService()
-    cameras = [camera, camera, camera]
-    responses = service.render_trajectory(
-        model, cameras, config=config, options=RenderOptions(temporal_mode="carry")
+    # The reference oracle is selected through the request's config.
+    oracle = service.render(
+        RenderRequest(
+            model=model,
+            camera=camera,
+            config=config.with_options(streaming_kernel="reference"),
+        )
     )
+    assert service.last_frame["streaming_kernel"] == "reference"
+    np.testing.assert_allclose(oracle.image, plain.image, atol=1e-9)
+
+
+def test_trajectory_renders_every_frame_with_telemetry(scene):
+    model, camera, config = scene
+    service = RenderService()
+    cameras = [camera, camera.scaled(0.5), camera]
+    responses = service.render_trajectory(model, cameras, config=config, tag="t")
     assert len(responses) == 3
-    summary = service.last_trajectory
-    assert summary["frames"] == 3
-    # Identical poses after the cold first frame carry everything: the
-    # warm frames hit 100%, the overall rate dilutes only by the cold
-    # frame's revalidations.
-    assert summary["warm_frames"] == 2
-    warm = [f for f in summary["per_frame"] if not f.get("cold_frame")]
-    assert all(f["coherence_hit_rate"] == 1.0 for f in warm)
-    assert summary["coherence_hit_rate"] == pytest.approx(2.0 / 3.0)
-    temporal = service.stats()["temporal"]
-    assert temporal["frames"] == 3
-    assert temporal["cold_frames"] == 1
-    assert temporal["carried_voxels"] == summary["carried_voxels"] > 0
+    assert [r.image.shape[:2] for r in responses] == [
+        (c.height, c.width) for c in cameras
+    ]
+    for response in responses:
+        assert response.output.telemetry["streaming_kernel"] == "vectorized"
+        assert response.output.telemetry["seconds"] > 0.0
+    np.testing.assert_array_equal(responses[0].image, responses[2].image)
+    # One shared renderer serves the whole trajectory.
+    assert service.stats()["renderer_misses"] == 1
+    assert service.stats()["renderer_hits"] == 2

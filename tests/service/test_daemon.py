@@ -279,6 +279,19 @@ class TestTelemetry:
             handle.stop()
             handle.join()
 
+    def test_metrics_keep_the_fields_the_service_benchmark_reads(self):
+        """The service benchmark reads these /metrics fields by name."""
+        handle = start_daemon(workers=1)
+        try:
+            assert submit_async(handle, "sleep", {"seconds": 0.0}).result(5).ok
+            metrics = scrape_http(handle.address, "/metrics")
+            assert {"renderer_hits", "renderer_misses"} <= set(metrics["engine"])
+            assert {"degraded", "rejected"} <= set(metrics["requests"])
+            assert "retried" in metrics["supervision"]
+        finally:
+            handle.stop()
+            handle.join()
+
 
 class TestProtocolOverSockets:
     def test_render_and_control_round_trip(self):
@@ -330,8 +343,20 @@ class TestProtocolOverSockets:
 
 
 class TestTrajectoryRequests:
-    def test_trajectory_round_trip_reports_temporal_telemetry(self):
+    def test_trajectory_round_trip_matches_in_process_renders(self):
+        from repro.api import Session, TrajectorySpec
+        from repro.scenes.registry import trajectory_cameras
+
+        def checksums(responses):
+            return [float(abs(r.image).sum()) for r in responses]
+
+        def assert_close(got, want, num_pixels):
+            assert len(got) == len(want)
+            for index, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - w) <= 1e-9 * 3 * num_pixels, f"frame {index}"
+
         handle = start_daemon(workers=1)
+        session = Session(seed=0)
         try:
             with handle.client(client="traj", timeout=120) as client:
                 response = client.trajectory(
@@ -341,39 +366,74 @@ class TestTrajectoryRequests:
                 result = response.result
                 assert result["label"] == "lego/orbitx16"
                 assert result["frames"] == 16
+                assert result["metrics"]["frames"] == 16
                 assert len(result["image_checksums"]) == 16
-                # A 16-frame orbit stays under the teleport threshold, so
-                # the carry path warms up after the cold first frame (the
-                # rotating orders still revalidate — that is the contract).
-                assert result["metrics"]["warm_frames"] == 15
-                assert result["metrics"]["revalidated"] > 0
-                # A repeated-pose trajectory carries everything after the
-                # cold first frame; the counters surface through /metrics.
-                from repro.scenes.registry import trajectory_cameras
+                spec = TrajectorySpec(
+                    scene="lego", path="orbit", frames=16, resolution_scale=0.25
+                )
+                local = session.render(spec)
+                num_pixels = local[0].image.shape[0] * local[0].image.shape[1]
+                assert_close(result["image_checksums"], checksums(local), num_pixels)
 
+                # An explicit repeated-pose path matches the per-voxel oracle.
                 pose = trajectory_cameras(
                     "lego", "orbit", 4, resolution_scale=0.25
                 )[0]
-                repeated = client.trajectory(
-                    scene="lego",
-                    path=[
-                        {
-                            "rotation": pose.rotation.reshape(-1).tolist(),
-                            "translation": pose.translation.tolist(),
-                            "width": pose.width,
-                            "height": pose.height,
-                            "fx": pose.fx,
-                            "fy": pose.fy,
-                        }
-                    ]
-                    * 3,
-                )
+                path = [
+                    {
+                        "rotation": pose.rotation.reshape(-1).tolist(),
+                        "translation": pose.translation.tolist(),
+                        "width": pose.width,
+                        "height": pose.height,
+                        "fx": pose.fx,
+                        "fy": pose.fy,
+                    }
+                ] * 3
+                repeated = client.trajectory(scene="lego", path=path)
                 assert repeated.ok, repeated.error
                 assert repeated.result["path"] == "custom"
-                assert repeated.result["metrics"]["carried_voxels"] > 0
-                temporal = client.metrics()["engine"]["temporal"]
-                assert temporal["frames"] >= 19
-                assert temporal["carried_voxels"] > 0
+                explicit = TrajectorySpec(scene="lego", path=path)
+                oracle = session.render_trajectory(
+                    explicit,
+                    config=explicit.streaming_config().with_options(
+                        streaming_kernel="reference"
+                    ),
+                )
+                assert_close(
+                    repeated.result["image_checksums"],
+                    checksums(oracle),
+                    pose.width * pose.height,
+                )
+        finally:
+            session.close()
+            handle.stop()
+            handle.join()
+
+    def test_removed_execution_options_are_error_replies(self):
+        handle = start_daemon(workers=1)
+        try:
+            with handle.client(client="traj", timeout=60) as client:
+                for knob, value in (
+                    ("temporal_mode", "carry"),
+                    ("tile_workers", 2),
+                    ("tile_mode", "process"),
+                    ("streaming_kernel", "reference"),
+                ):
+                    response = client.trajectory(
+                        scene="lego",
+                        path="orbit",
+                        frames=1,
+                        resolution_scale=0.25,
+                        options={knob: value},
+                    )
+                    assert not response.ok, knob
+                    assert "unknown RenderOptions override" in response.error, (
+                        response.error
+                    )
+                # The actor survived every rejection and still serves work.
+                assert client.submit("sleep", {"seconds": 0.0}).ok
+            health = scrape_http(handle.address, "/healthz")
+            assert health["status"] == "healthy", health
         finally:
             handle.stop()
             handle.join()

@@ -4,7 +4,7 @@ import repro
 
 
 def test_version():
-    assert repro.__version__ == "1.10.0"
+    assert repro.__version__ == "1.11.0"
 
 
 def test_public_exports_resolve():
