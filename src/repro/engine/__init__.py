@@ -8,7 +8,8 @@ top of this subsystem:
   per-Gaussian reference loop and a fully vectorized broadcast kernel that
   derives transmittance via exclusive cumulative products (numerically
   equivalent, selected through ``StreamingConfig.blend_kernel`` /
-  ``TileRasterizer(kernel=...)``; vectorized is the default);
+  ``TileRasterizer(kernel=...)``; vectorized is the default), plus the
+  streaming renderer's frame-level cross-tile blend;
 * :mod:`repro.engine.state` — the resumable :class:`BlendState` with dense
   array-based per-Gaussian weight/violation accumulators;
 * :mod:`repro.engine.cache` — the frame-preparation cache memoizing voxel

@@ -56,15 +56,15 @@ VECTORIZED_CHUNK = 64
 #: Minimum chunk rows (stream positions) of the frame-level streaming
 #: blend.  Chunk-partition invariance of the blend recurrence makes the
 #: size a pure performance knob: smaller chunks bound the padding waste of
-#: tiles whose streams end mid-chunk, refresh the active-column compaction
-#: more often and keep the chunk temporaries small (16 rows x a full
-#: 4096-column block is one element budget), at the price of more chunk
-#: iterations.
-STREAM_CHUNK = 16
+#: tiles whose streams end mid-chunk and refresh the active-column
+#: compaction more often, at the price of more chunk iterations — which
+#: cost most when render threads share the interpreter (16-row chunks made
+#: two-thread train frames ~15% slower).
+STREAM_CHUNK = 32
 
 #: Element budget (chunk rows x active columns) used to grow chunks as
 #: pixel columns saturate and drop out of the active set.
-STREAM_CHUNK_ELEMS = 1 << 16
+STREAM_CHUNK_ELEMS = STREAM_CHUNK * 2048
 
 #: Pixel columns per blend block.  The frame-level blend walks whole tiles
 #: grouped into blocks of at most this many columns (a single larger tile
@@ -449,37 +449,40 @@ def _blend_column_block(
         # expensive scattered reads shrink by the tile occupancy factor.
         tile_chunk = frame.rows[start:stop].take(present, axis=1)
         col_pos = np.repeat(np.arange(len(present)), runs)
-        mean_x = frame.mean_x.take(tile_chunk).take(col_pos, axis=1)
-        mean_y = frame.mean_y.take(tile_chunk).take(col_pos, axis=1)
-        opacities = frame.opacities.take(tile_chunk).take(col_pos, axis=1)
-        depths = frame.depths.take(tile_chunk).take(col_pos, axis=1)
         transmittance_in = transmittance[active]
 
-        dx = frame.px[active][None, :] - mean_x
-        dy = frame.py[active][None, :] - mean_y
+        # Chunk temporaries dominate the frame's peak memory, so each is
+        # released as soon as it is consumed.
+        dx = frame.px[active][None, :] - frame.mean_x.take(tile_chunk).take(col_pos, axis=1)
+        dy = frame.py[active][None, :] - frame.mean_y.take(tile_chunk).take(col_pos, axis=1)
         power = frame.conic_a.take(tile_chunk).take(col_pos, axis=1)
         power *= dx * dx
         power += frame.conic_c.take(tile_chunk).take(col_pos, axis=1) * (dy * dy)
         power *= -0.5
         dx *= dy
+        del dy
         dx *= frame.conic_b.take(tile_chunk).take(col_pos, axis=1)
         power -= dx
+        del dx
 
         positive = power > 0.0
         np.minimum(power, 0.0, out=power)
         a = np.exp(power, out=power)
-        a *= opacities
+        a *= frame.opacities.take(tile_chunk).take(col_pos, axis=1)
         np.minimum(a, ALPHA_MAX, out=a)
         positive |= a <= ALPHA_EPSILON
         np.copyto(a, 0.0, where=positive)
+        del positive
 
         factors = 1.0 - a
         factors[0] *= transmittance_in
         running = np.empty((rows_k + 1, len(active)), dtype=np.float64)
         running[0] = transmittance_in
         np.cumprod(factors, axis=0, out=running[1:])
+        del factors
         contributes = (a > 0.0) & (running[:-1] > TRANSMITTANCE_EPSILON)
         weight = np.where(contributes, a * running[:-1], 0.0)
+        del a
 
         # Colour accumulation as one small matmul per present tile: the
         # colour block varies per (chunk row, tile) only, so the per-column
@@ -492,12 +495,14 @@ def _blend_column_block(
         counts_col = np.count_nonzero(contributes, axis=0)
         blend.fragments[present] += np.add.reduceat(counts_col, boundaries)
 
+        depths = frame.depths.take(tile_chunk).take(col_pos, axis=1)
         prior_max = np.empty((rows_k + 1, len(active)), dtype=np.float64)
         prior_max[0] = frame.max_depth[active]
         prior_max[1:] = np.where(contributes, depths, -np.inf)
         np.maximum.accumulate(prior_max, axis=0, out=prior_max)
         violated = contributes & (prior_max[:-1] > depths + DEPTH_VIOLATION_EPSILON)
         frame.max_depth[active] = prior_max[-1]
+        del depths, prior_max
 
         # Per-(chunk row, tile) weight sums scattered into the frame-level
         # per-Gaussian attribution arrays.
