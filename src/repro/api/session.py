@@ -10,8 +10,9 @@ from it:
 * ``session.render("train", "orbit", frames=24)`` — a whole trajectory
   workload (named path or explicit camera list, or a full
   :class:`~repro.api.spec.TrajectorySpec`) frame by frame through one
-  shared streaming renderer, with :meth:`Session.run_trajectory` producing the cacheable
-  :class:`~repro.api.result.ExperimentResult` form;
+  shared streaming renderer, with :meth:`Session.run_trajectory`
+  producing the cacheable :class:`~repro.api.result.ExperimentResult`
+  form;
 * ``session.context(scene)`` — the cached evaluation context of a scene;
 * ``session.run(spec)`` — one declarative experiment point
   (:class:`~repro.api.spec.ExperimentSpec`) evaluated end to end, returning
